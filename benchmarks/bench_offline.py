@@ -4,17 +4,18 @@ Not a paper table, but the deployment-relevant flip side of Table 3's
 online numbers: what one query-latency profile costs to precompute, and
 what an edge insertion costs to absorb incrementally versus rebuilding.
 
-Since PR 4 the headline claim lives here too: the flat-native build
-pipeline (batched truncated BFS + vectorised boundary extraction +
-direct packing, :func:`repro.core.parallel.build_flat_store`) must
-produce a byte-identical index at >= 3x the throughput of the dict
-builder (records + flatten), single-process.
+The headline claim lives here too: the library's one offline build
+path (batched truncated BFS + vectorised boundary extraction + direct
+packing, :func:`repro.core.parallel.build_flat_store`) must produce a
+byte-identical index at >= 3x the throughput of the per-node reference
+builder (:func:`repro.core.reference.build_reference_index`, records +
+flatten), single-process.
 
 Also runnable as a script for CI::
 
     PYTHONPATH=src python benchmarks/bench_offline.py --smoke
 
-which races the dict and flat-native builders on one frozen landmark
+which races the reference and flat-native builders on one frozen landmark
 set, verifies field-identical arrays (including a multi-worker build),
 races the calibrated ``join_max_scan`` crossover against the retired
 PR 3 constant on a Zipf query workload, and writes the machine-readable
@@ -32,13 +33,13 @@ import numpy as np
 from repro.core.config import OracleConfig
 from repro.core.dynamic import DynamicVicinityOracle
 from repro.core.flat import JOIN_MAX_SCAN, FlatIndex, flatten_index
-from repro.core.index import VicinityIndex
+from repro.core.index import VicinityIndex, draw_landmarks
 from repro.core.landmarks import calibrate_scale, sample_landmarks
 from repro.core.parallel import build_flat_store
+from repro.core.reference import build_reference_index
 from repro.graph.traversal.bounded import truncated_bfs_ball
 from repro.graph.traversal.vectorized import bfs_tree_vectorized
 from repro.io.oracle_store import FLAT_STORE_ARRAYS
-from repro.utils.rng import ensure_rng
 
 try:
     from benchmarks.conftest import write_artifact
@@ -47,22 +48,6 @@ except ImportError:  # run as a script: benchmarks/ itself is sys.path[0]
 
 #: Worker count exercised by the smoke's scaling measurement.
 SMOKE_WORKERS = 4
-
-
-def _frozen_landmarks(graph, config):
-    """One calibrated landmark set shared by every builder under test."""
-    rng = ensure_rng(config.seed)
-    scale = config.probability_scale
-    if scale == "auto":
-        scale = calibrate_scale(graph, config.alpha, rng=rng)
-    return sample_landmarks(
-        graph,
-        config.alpha,
-        rng=rng,
-        scale=float(scale),
-        per_component=config.landmark_per_component,
-        max_landmarks=config.max_landmarks,
-    )
 
 
 def test_calibration_cost(benchmark, graphs):
@@ -74,7 +59,7 @@ def test_calibration_cost(benchmark, graphs):
 
 
 def test_single_vicinity_construction(benchmark, graphs):
-    """One truncated-BFS ball (the per-node unit of dict offline work)."""
+    """One truncated-BFS ball (the per-node unit of reference offline work)."""
     graph = graphs["livejournal"]
     landmarks = sample_landmarks(
         graph, 4.0, rng=7, scale=calibrate_scale(graph, 4.0, rng=7)
@@ -101,7 +86,7 @@ def test_landmark_table_construction(benchmark, graphs):
 
 
 def test_full_build(benchmark, graphs):
-    """The complete dict offline phase on the smallest dataset."""
+    """The complete offline phase on the smallest dataset."""
     graph = graphs["dblp"]
     config = OracleConfig(alpha=4.0, seed=7, fallback="none")
     index = benchmark.pedantic(
@@ -112,13 +97,13 @@ def test_full_build(benchmark, graphs):
 
 
 def test_flat_native_build_speedup(benchmark, graphs):
-    """The flat-native pipeline: >= 3x the dict path, identical arrays."""
+    """The flat-native pipeline: >= 3x the reference builder, identical arrays."""
     graph = graphs["livejournal"]
     config = OracleConfig(alpha=4.0, seed=7, fallback="none")
-    landmarks = _frozen_landmarks(graph, config)
+    landmarks = draw_landmarks(graph, config)
 
     started = time.perf_counter()
-    want = flatten_index(VicinityIndex.from_landmarks(graph, config, landmarks))
+    want = flatten_index(build_reference_index(graph, config, landmarks=landmarks))
     dict_s = time.perf_counter() - started
 
     def flat_build():
@@ -228,9 +213,9 @@ def run_smoke(
 ) -> int:
     """Race the offline builders on a tiny graph; exercised by CI.
 
-    * dict builder (records + flatten) vs flat-native single-process —
-      field-identical arrays and a >= 3x throughput bar (the PR 4
-      acceptance criterion);
+    * reference builder (records + flatten) vs flat-native
+      single-process — field-identical arrays and a >= 3x throughput
+      bar (the PR 4 acceptance criterion);
     * flat-native at ``workers`` workers — identical arrays (spawned
       pipeline determinism) and the scaling ratio recorded (spawn
       overhead dominates at smoke scale, so the ratio is informational
@@ -246,7 +231,7 @@ def run_smoke(
 
     graph = generate("livejournal", scale=scale, seed=7)
     config = OracleConfig(alpha=4.0, seed=7, fallback="none")
-    landmarks = _frozen_landmarks(graph, config)
+    landmarks = draw_landmarks(graph, config)
     failures: list[str] = []
     report: dict = {
         "workload": {
@@ -334,9 +319,9 @@ def _smoke_phases(
 
     stages = report["stages"]
 
-    # --- dict builder (records + flatten) -----------------------------
+    # --- reference dict builder (records + flatten) -------------------
     started = time.perf_counter()
-    dict_index = VicinityIndex.from_landmarks(graph, config, landmarks)
+    dict_index = build_reference_index(graph, config, landmarks=landmarks)
     build_s = time.perf_counter() - started
     started = time.perf_counter()
     want = flatten_index(dict_index)
@@ -438,8 +423,11 @@ def _smoke_phases(
     # --- compact vs int64 output sizes --------------------------------
     from repro.core.flat import store_nbytes, widen_store
 
-    compact_bytes = store_nbytes(got)
-    int64_bytes = store_nbytes(widen_store(got))
+    # The persistence layout only: the build's probe extras (boundary
+    # distances, landmark row map) are not part of the store.
+    layout = {name: got[name] for name in FLAT_STORE_ARRAYS}
+    compact_bytes = store_nbytes(layout)
+    int64_bytes = store_nbytes(widen_store(layout))
     report["store_bytes"] = {
         "compact": compact_bytes,
         "int64": int64_bytes,

@@ -191,6 +191,13 @@ def _phase_metrics(rows, seconds) -> dict:
         "seconds": seconds,
         "qps": queries / seconds if seconds > 0 else float("inf"),
         "goodput_qps": goodput / seconds if seconds > 0 else float("inf"),
+        # Goodput counts exact answers and landmark estimates (the
+        # degraded rung) alike; report the split so an estimate-heavy
+        # goodput cannot pass for exact throughput.
+        "exact_goodput_qps": (
+            kinds["exact"] / seconds if seconds > 0 else float("inf")
+        ),
+        "estimate_share": kinds["degraded"] / goodput if goodput else 0.0,
         "unanswered_rate": kinds["unanswered"] / queries if queries else 0.0,
         "exact_rate": kinds["exact"] / queries if queries else 0.0,
         "degraded_rate": kinds["degraded"] / queries if queries else 0.0,
@@ -339,6 +346,8 @@ def run_slo(
             phase,
             int(block["qps"]),
             int(block["goodput_qps"]),
+            int(block["exact_goodput_qps"]),
+            f"{block['estimate_share']:.3f}",
             f"{block['exact_p50_ms']:.2f}",
             f"{block['exact_p99_ms']:.2f}",
             f"{block['exact_rate']:.3f}",
@@ -347,7 +356,8 @@ def run_slo(
         ))
     print(
         render_table(
-            ["phase", "resp/s", "goodput/s", "exact p50 ms", "exact p99 ms",
+            ["phase", "resp/s", "goodput/s", "exact goodput/s",
+             "estimate share", "exact p50 ms", "exact p99 ms",
              "exact", "degraded", "shed"],
             rows,
             title=(

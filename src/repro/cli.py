@@ -55,14 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("--seed", type=int, default=7)
     build.add_argument("--floor", type=float, default=0.0, help="vicinity_floor")
     build.add_argument(
-        "--representation", choices=["flat", "dict"], default="flat",
-        help="offline pipeline: 'flat' (batched, dict-free, the fast "
-        "path) or 'dict' (per-node records, the parity baseline)",
-    )
-    build.add_argument(
         "--workers", type=int, default=1,
-        help="flat pipeline: worker processes sharing the CSR via "
-        "shared memory (1 = in-process)",
+        help="worker processes sharing the CSR via shared memory "
+        "(1 = in-process)",
     )
     build.add_argument(
         "--out", required=True,
@@ -320,26 +315,18 @@ def _cmd_build(args: argparse.Namespace) -> int:
     graph = _load_any_graph(args.graph)
     config = OracleConfig(alpha=args.alpha, seed=args.seed, vicinity_floor=args.floor)
     started = time.perf_counter()
-    index = VicinityIndex.build(
-        graph, config, representation=args.representation, workers=args.workers
-    )
+    index = VicinityIndex.build(graph, config, workers=args.workers)
     elapsed = time.perf_counter() - started
     save_index(index, args.out)
-    print(f"built {index!r} in {elapsed:.1f}s ({args.representation} pipeline)")
-    if args.representation == "flat":
-        # The record-level stats/memory reports would materialise every
-        # per-node dict the flat pipeline just avoided; summarise from
-        # the arrays instead.
-        flat = index._flat_index
-        print(
-            f"mean vicinity size {flat.member_counts.mean():.1f}, "
-            f"mean boundary size {flat.boundary_counts.mean():.1f}, "
-            f"{flat.landmark_ids.size} landmark tables"
-        )
-    else:
-        oracle = VicinityOracle(index)
-        print(oracle.stats().summary())
-        print(oracle.memory().summary())
+    print(f"built {index!r} in {elapsed:.1f}s")
+    # The record-level stats/memory reports would materialise every
+    # per-node dict the build just avoided; summarise from the arrays.
+    flat = index._flat_index
+    print(
+        f"mean vicinity size {flat.member_counts.mean():.1f}, "
+        f"mean boundary size {flat.boundary_counts.mean():.1f}, "
+        f"{flat.landmark_ids.size} landmark tables"
+    )
     return 0
 
 

@@ -37,30 +37,7 @@ from repro.core.landmarks import flag_bytes
 from repro.core.oracle import OracleCounters, QueryResult
 from repro.exceptions import IndexBuildError, QueryError, UnreachableError
 from repro.graph.digraph import DiGraph
-from repro.graph.traversal.vectorized import digraph_bfs_tree_vectorized
 from repro.utils.rng import RngLike, ensure_rng
-
-
-@dataclass
-class DirectedVicinity:
-    """One orientation's vicinity record (forward or reverse).
-
-    ``dist[v]`` is ``d(node -> v)`` for the forward record and
-    ``d(v -> node)`` for the reverse record; ``pred`` points one hop
-    back toward ``node`` in the traversal orientation.
-    """
-
-    node: int
-    radius: Optional[int]
-    dist: dict[int, int]
-    pred: dict[int, int]
-    members: frozenset[int]
-    boundary: list[int]
-
-    @property
-    def size(self) -> int:
-        """Number of vicinity members."""
-        return len(self.members)
 
 
 @dataclass
@@ -128,19 +105,6 @@ def _side_table_map(store, ids: np.ndarray) -> dict:
     }
 
 
-def _directed_boundary(
-    gamma: Sequence[int], member_set: frozenset[int], adj: list[list[int]]
-) -> list[int]:
-    """Members with at least one same-orientation neighbour outside."""
-    boundary = []
-    for v in gamma:
-        for w in adj[v]:
-            if w not in member_set:
-                boundary.append(v)
-                break
-    return boundary
-
-
 class DirectedVicinityOracle:
     """Exact ``d(s -> t)`` queries on unweighted digraphs.
 
@@ -155,8 +119,8 @@ class DirectedVicinityOracle:
         alpha: float,
         landmark_ids: np.ndarray,
         is_landmark: bytearray,
-        out_vicinities: list[DirectedVicinity],
-        in_vicinities: list[DirectedVicinity],
+        out_vicinities: Sequence,
+        in_vicinities: Sequence,
         forward_tables: dict[int, tuple[np.ndarray, np.ndarray]],
         backward_tables: dict[int, tuple[np.ndarray, np.ndarray]],
         fallback: str = "bidirectional",
@@ -172,8 +136,8 @@ class DirectedVicinityOracle:
         self.fallback = fallback
         self.counters = OracleCounters()
         self._engine = None
-        #: Store-layout side arrays when built flat-natively or loaded
-        #: from disk (``None`` for dict builds until first flatten).
+        #: Store-layout side arrays when built or loaded from disk
+        #: (``None`` for reference-built records until first flatten).
         self._flat_sides = None
 
     # ------------------------------------------------------------------
@@ -189,14 +153,13 @@ class DirectedVicinityOracle:
         probability_scale="auto",
         fallback: str = "bidirectional",
         vicinity_floor: float = 0.0,
-        representation: str = "dict",
     ) -> "DirectedVicinityOracle":
         """Run the directed offline phase.
 
         ``probability_scale="auto"`` calibrates the landmark-sampling
         scale so that mean out-vicinity size meets ``alpha * sqrt(n)``,
-        mirroring the undirected oracle.  ``representation="flat"``
-        runs both orientations through the batched flat-native pipeline
+        mirroring the undirected oracle.  Both orientations then run
+        through the batched pipeline
         (:func:`repro.core.parallel.build_directed_side_store`): the
         engine's two sides come straight out of the build, so the first
         query pays no flattening pass and no per-node record is ever
@@ -207,15 +170,51 @@ class DirectedVicinityOracle:
                 directed extension is defined for the paper's unweighted
                 setting).
         """
+        from repro.core.parallel import build_directed_side_store
+
+        ids, flags, min_size = cls.draw_landmarks(
+            graph,
+            alpha=alpha,
+            seed=seed,
+            probability_scale=probability_scale,
+            vicinity_floor=vicinity_floor,
+        )
+        flags_u8 = np.frombuffer(flags, dtype=np.uint8)
+        out_store = build_directed_side_store(
+            graph.out_indptr, graph.out_indices, graph.n, flags_u8, ids,
+            min_size=min_size,
+        )
+        in_store = build_directed_side_store(
+            graph.in_indptr, graph.in_indices, graph.n, flags_u8, ids,
+            min_size=min_size,
+        )
+        return cls.from_side_stores(
+            graph, alpha, ids, flags, out_store, in_store, fallback
+        )
+
+    @classmethod
+    def draw_landmarks(
+        cls,
+        graph: DiGraph,
+        *,
+        alpha: float,
+        seed: RngLike,
+        probability_scale,
+        vicinity_floor: float,
+    ) -> tuple[np.ndarray, bytearray, Optional[int]]:
+        """Sample ``L`` as :meth:`build` does: ``(ids, flags, min_size)``.
+
+        Shared with the reference builder
+        (:func:`repro.core.reference.build_reference_directed`), so both
+        draw the same landmark set for the same arguments.
+
+        Raises:
+            IndexBuildError: for empty or weighted digraphs.
+        """
         if graph.n == 0:
             raise IndexBuildError("cannot build an index over an empty digraph")
         if graph.is_weighted:
             raise IndexBuildError("the directed extension supports unweighted digraphs")
-        if representation not in ("dict", "flat"):
-            raise IndexBuildError(
-                f"unknown representation {representation!r}; "
-                "choose from ('dict', 'flat')"
-            )
         rng = ensure_rng(seed)
         total = graph.total_degrees().astype(np.float64)
         if probability_scale == "auto":
@@ -227,52 +226,10 @@ class DirectedVicinityOracle:
         if not sampled.any():
             sampled[int(np.argmax(total))] = True
         ids = np.flatnonzero(sampled).astype(np.int64)
-        flags = flag_bytes(graph.n, ids)
-
         min_size = None
         if vicinity_floor > 0:
             min_size = int(vicinity_floor * alpha * np.sqrt(graph.n))
-
-        if representation == "flat":
-            return cls._build_flat(graph, alpha, ids, flags, min_size, fallback)
-
-        out_adj = graph.out_adjacency()
-        in_adj = graph.in_adjacency()
-        out_vicinities = cls._build_side(out_adj, flags, graph.n, min_size)
-        in_vicinities = cls._build_side(in_adj, flags, graph.n, min_size)
-
-        forward_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        backward_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for landmark in ids.tolist():
-            forward_tables[landmark] = digraph_bfs_tree_vectorized(
-                graph.out_indptr, graph.out_indices, graph.n, landmark
-            )
-            backward_tables[landmark] = digraph_bfs_tree_vectorized(
-                graph.in_indptr, graph.in_indices, graph.n, landmark
-            )
-        return cls(
-            graph, alpha, ids, flags, out_vicinities, in_vicinities,
-            forward_tables, backward_tables, fallback,
-        )
-
-    @classmethod
-    def _build_flat(cls, graph, alpha, ids, flags, min_size, fallback):
-        """Flat-native directed build: both sides straight to arrays."""
-        from repro.core.parallel import build_directed_side_store
-
-        flags_u8 = np.frombuffer(flags, dtype=np.uint8)
-        out_store = build_directed_side_store(
-            graph.out_indptr, graph.out_indices, graph.n, flags_u8, ids,
-            min_size=min_size,
-        )
-        in_store = build_directed_side_store(
-            graph.in_indptr, graph.in_indices, graph.n, flags_u8, ids,
-            min_size=min_size,
-        )
-        oracle = cls.from_side_stores(
-            graph, alpha, ids, flags, out_store, in_store, fallback
-        )
-        return oracle
+        return ids, flag_bytes(graph.n, ids), min_size
 
     @classmethod
     def from_side_stores(
@@ -280,7 +237,7 @@ class DirectedVicinityOracle:
     ) -> "DirectedVicinityOracle":
         """Assemble an oracle from two store-layout side dicts.
 
-        Used by the flat-native builder and the persistence layer
+        Used by :meth:`build` and the persistence layer
         (:func:`repro.io.oracle_store.load_directed_oracle`).  The
         record API stays available through lazy per-node views; the
         tables map exposes stacked-row views so diagnostics keep
@@ -339,38 +296,18 @@ class DirectedVicinityOracle:
             scale = float(np.clip(scale * ratio**0.85, 1e-4, 256.0))
         return scale
 
-    @staticmethod
-    def _build_side(
-        adj: list[list[int]], flags: bytearray, n: int, min_size=None
-    ) -> list[DirectedVicinity]:
-        vicinities = []
-        for u in range(n):
-            if flags[u]:
-                vicinities.append(
-                    DirectedVicinity(u, 0, {}, {}, frozenset(), [])
-                )
-                continue
-            radius, dist, pred, gamma = _truncated_directed_ball(
-                adj, u, flags, min_size=min_size
-            )
-            member_set = frozenset(gamma)
-            boundary = _directed_boundary(gamma, member_set, adj)
-            vicinities.append(
-                DirectedVicinity(u, radius, dist, pred, member_set, boundary)
-            )
-        return vicinities
-
     # ------------------------------------------------------------------
     # online phase
     # ------------------------------------------------------------------
     def flat_side_stores(self) -> tuple[dict, dict]:
         """Both orientations as persistence-layout arrays (cached).
 
-        A flat-built or disk-loaded oracle already holds them; a
-        dict-built oracle pays one flattening pass on first use (then
-        never again — this is also what the engine builds its sides
-        from, and what :func:`repro.io.oracle_store.save_directed_oracle`
-        persists).
+        A built or disk-loaded oracle already holds them; an oracle
+        over per-node records (the reference builder in
+        :mod:`repro.core.reference`) pays one flattening pass on first
+        use (then never again — this is also what the engine builds its
+        sides from, and what
+        :func:`repro.io.oracle_store.save_directed_oracle` persists).
         """
         if self._flat_sides is None:
             from repro.core.flat import directed_side_store_arrays
@@ -396,9 +333,9 @@ class DirectedVicinityOracle:
         *target* side; the shared
         :class:`~repro.core.engine.FlatQueryEngine` then runs the exact
         directed analogue of Algorithm 1 (boundary-smaller scan over
-        the two orientations).  Built on the first query; flat-built
-        and disk-loaded oracles reuse their stored arrays directly, so
-        only a dict-built oracle ever pays a flattening pass here.
+        the two orientations).  Built on the first query; built and
+        disk-loaded oracles reuse their stored arrays directly, so only
+        a reference-built oracle ever pays a flattening pass here.
         """
         if self._engine is None:
             from repro.core.engine import FlatQueryEngine

@@ -265,8 +265,8 @@ class DynamicVicinityOracle:
         for w in range(graph.n):
             if flags[w]:
                 continue
-            vic = self.index.vicinities[w]
-            radius = vic.radius
+            # Reads the radius without materialising an untouched record.
+            radius = self.index.radius(w)
             du, dv = int(dist_u[w]), int(dist_v[w])
             nearest = min(d for d in (du, dv) if d >= 0) if (du >= 0 or dv >= 0) else -1
             if radius is None:

@@ -1,19 +1,19 @@
 """Array-backed, read-only probe surface over a flattened index.
 
-The dict-backed :class:`~repro.core.vicinity.Vicinity` records are ideal
-for the single-machine oracle, but they cannot be shared across worker
-*processes* without pickling the whole index into every worker.  The
-flattened offset-indexed arrays that :mod:`repro.io.oracle_store`
-persists have exactly the opposite property: they are a handful of
-contiguous numpy buffers, so they can live in one
-``multiprocessing.shared_memory`` segment, mapped zero-copy by every
-shard worker.
+Per-node dict-backed :class:`~repro.core.vicinity.Vicinity` records
+cannot be shared across worker *processes* without pickling the whole
+index into every worker.  The flattened offset-indexed arrays that the
+offline build writes and :mod:`repro.io.oracle_store` persists have
+exactly the opposite property: they are a handful of contiguous numpy
+buffers, so they can live in one ``multiprocessing.shared_memory``
+segment, mapped zero-copy by every shard worker.
 
 This module provides the two halves of that story:
 
-* :func:`flatten_index` — the CSR-of-dicts flattening (moved here from
-  the persistence layer so serving backends and ``save_index`` share one
-  implementation);
+* :func:`flatten_index` — the store arrays of an index: the arrays a
+  build already holds, or the CSR-of-dicts flattening of per-node
+  records (repaired by the dynamic oracle, or from the reference
+  builder);
 * :class:`FlatIndex` — probe helpers over the flattened arrays
   (vicinity membership/distance, boundary payloads, landmark tables,
   predecessor chains, the intersection kernel) whose results are
@@ -54,6 +54,11 @@ FLAT_ARRAYS = (
     "landmark_ids",
     "landmark_row",
 )
+
+#: Derived columns beyond the persistence layout that the offline
+#: build emits and the single-file store persists, so neither a fresh
+#: build nor a memory-mapped load pays an O(entries) derivation pass.
+PROBE_EXTRA_ARRAYS = ("boundary_dists", "landmark_row")
 
 #: Default mean-scan-size crossover between the fused all-pairs join
 #: and the per-pair slice-local intersection kernels (see
@@ -213,6 +218,15 @@ def _widen_marked(arr: np.ndarray) -> np.ndarray:
     return wide
 
 
+def landmark_row_map(landmark_ids: np.ndarray, n: int) -> np.ndarray:
+    """Node -> landmark table row (``-1`` for non-landmarks), ``int32``."""
+    row = np.full(n, -1, dtype=np.int32)
+    row[np.asarray(landmark_ids, dtype=np.int64)] = np.arange(
+        len(landmark_ids), dtype=np.int32
+    )
+    return row
+
+
 def store_nbytes(store: Mapping[str, np.ndarray]) -> int:
     """Total array bytes of a store dict (the resident-memory figure)."""
     return int(sum(np.asarray(a).nbytes for a in store.values()))
@@ -250,10 +264,9 @@ def _flatten_records(vicinities, n: int, dist_dtype) -> dict[str, np.ndarray]:
     """Flatten any sequence of vicinity-shaped records to offset arrays.
 
     A record needs ``radius``, ``dist``, ``pred``, ``members`` and
-    ``boundary`` — both the undirected :class:`~repro.core.vicinity.Vicinity`
-    and the per-orientation :class:`~repro.core.directed.DirectedVicinity`
-    qualify, which is what lets the directed oracle share the flat
-    query engine.  Distance-table slices and member lists are sorted by
+    ``boundary`` — :class:`~repro.core.vicinity.Vicinity` records of an
+    undirected index or of either directed orientation qualify, which
+    is what lets the directed oracle share the flat query engine.  Distance-table slices and member lists are sorted by
     node id (binary-search probes); boundary lists keep their Lemma 1
     scan order, which the kernels' witness tie-breaking depends on.
     """
@@ -331,9 +344,8 @@ def flatten_index(index) -> dict[str, np.ndarray]:
     :meth:`FlatIndex.from_store_arrays` derives the probe-ready views
     (accepting unsorted slices from legacy saved files too).
 
-    A flat-built index (``representation="flat"``) already holds these
-    arrays — they are returned as-is, so persistence never materialises
-    the per-node records.  The dynamic oracle drops the stored copy on
+    A built index already holds these arrays — they are returned as-is,
+    so persistence never materialises the per-node records.  The dynamic oracle drops the stored copy on
     every mutation (``VicinityOracle.refresh_engine``), which routes
     the next flatten through the record extraction below.
     """
@@ -380,7 +392,7 @@ def directed_side_store_arrays(
     matching orientation's ``{landmark: (dist, parent)}`` map (forward
     tables for the out side, backward tables for the in side).  This is
     the layout :func:`repro.io.oracle_store.save_directed_oracle`
-    persists per side, and what the flat-native directed builder
+    persists per side, and what the directed builder
     (:func:`repro.core.parallel.build_directed_side_store`) emits
     without materialising the records at all.
     """
@@ -409,20 +421,6 @@ def directed_side_flat_index(data: Mapping[str, np.ndarray], n: int) -> "FlatInd
             data, n=n, weighted=False, store_paths=True
         )
     return FlatIndex.from_store_arrays(data, n=n, weighted=False, store_paths=True)
-
-
-def flatten_directed_side(
-    vicinities, landmark_ids: np.ndarray, tables: dict, n: int
-) -> "FlatIndex":
-    """Flatten one orientation of a directed oracle into a probe surface.
-
-    The result is a regular :class:`FlatIndex`, so the directed oracle
-    can delegate to the same :class:`~repro.core.engine.FlatQueryEngine`
-    as the undirected one — just with distinct source/target sides.
-    """
-    return directed_side_flat_index(
-        directed_side_store_arrays(vicinities, landmark_ids, tables, n), n
-    )
 
 
 def _sorted_vic_slice(vic, dist_dtype) -> tuple:
@@ -641,10 +639,7 @@ class FlatIndex:
         if "landmark_row" in data:
             landmark_row = np.ascontiguousarray(data["landmark_row"])
         else:
-            landmark_row = np.full(n, -1, dtype=np.int32)
-            landmark_row[landmark_ids] = np.arange(
-                landmark_ids.size, dtype=np.int32
-            )
+            landmark_row = landmark_row_map(landmark_ids, n)
 
         arrays = {
             "vic_offsets": vic_offsets,

@@ -14,6 +14,13 @@ need one, and in ``landmark_tables="none"`` mode queries touching a
 landmark endpoint either hit condition (4) of Algorithm 1 (the landmark
 sits in the *other* endpoint's vicinity) or take the fallback path —
 the memory/accuracy trade-off is measured in ablation benchmarks.
+
+There is one offline build path: :meth:`VicinityIndex.build` writes
+the contiguous store layout directly (batched truncated BFS,
+:func:`repro.core.parallel.build_flat_store`), and per-node records
+are materialised from those arrays only when something asks for them
+(:class:`FlatVicinityList`).  The per-node dict builder survives only
+as the test oracle in :mod:`repro.core.reference`.
 """
 
 from __future__ import annotations
@@ -25,30 +32,47 @@ import numpy as np
 
 from repro.core.config import OracleConfig
 from repro.core.landmarks import LandmarkSet, calibrate_scale, sample_landmarks
-from repro.utils.rng import ensure_rng
-from repro.core.vicinity import Vicinity, build_vicinity
+from repro.core.vicinity import Vicinity
 from repro.exceptions import IndexBuildError
 from repro.graph.csr import CSRGraph
-from repro.graph.traversal.bounded import truncated_bfs_ball, truncated_dijkstra_ball
-from repro.graph.traversal.dijkstra import dijkstra_tree
-from repro.graph.traversal.vectorized import bfs_tree_vectorized
+from repro.utils.rng import ensure_rng
 
 #: Optional progress callback: (stage, done, total).
 ProgressCallback = Callable[[str, int, int], None]
 
-#: Offline-build representations: ``"dict"`` materialises per-node
-#: :class:`~repro.core.vicinity.Vicinity` records (the mutable
-#: build/repair representation the dynamic oracle edits); ``"flat"``
-#: writes the contiguous :class:`~repro.core.flat.FlatIndex` arrays
-#: directly through the batched pipeline in :mod:`repro.core.parallel`
-#: — field-identical output, no per-node dicts on the hot path.
-REPRESENTATIONS = ("dict", "flat")
+
+def draw_landmarks(graph: CSRGraph, config: OracleConfig) -> LandmarkSet:
+    """Sample the landmark set ``L`` exactly as :meth:`VicinityIndex.build` does.
+
+    Seeded from ``config.seed``, so every builder handed the same
+    ``(graph, config)`` — this module's and the reference builder in
+    :mod:`repro.core.reference` — draws the same ``L``.
+
+    Raises:
+        IndexBuildError: for an empty graph.
+    """
+    if graph.n == 0:
+        raise IndexBuildError("cannot build an index over an empty graph")
+    rng = ensure_rng(config.seed)
+    scale = config.probability_scale
+    if scale == "auto":
+        # Calibrate so the mean vicinity size meets the paper's
+        # alpha * sqrt(n) target (see repro.core.landmarks).
+        scale = calibrate_scale(graph, config.alpha, rng=rng)
+    return sample_landmarks(
+        graph,
+        config.alpha,
+        rng=rng,
+        scale=float(scale),
+        per_component=config.landmark_per_component,
+        max_landmarks=config.max_landmarks,
+    )
 
 
 class FlatVicinityList(Sequence):
     """Per-node :class:`Vicinity` records materialised lazily from flat arrays.
 
-    A flat-built index stores only the contiguous arrays; consumers of
+    A built index stores only the contiguous arrays; consumers of
     the record API (stats, memory accounting, the partitioned
     simulation, dynamic repair) still index ``index.vicinities[u]``, so
     this view reconstructs — and caches — exactly the records they
@@ -90,6 +114,19 @@ class FlatVicinityList(Sequence):
             self._records[u] = record
         return record
 
+    def radius(self, u: int) -> Optional[float]:
+        """``self[u].radius``, without materialising the record."""
+        record = self._records.get(int(u))
+        if record is not None:
+            return record.radius
+        return self._stored_radius(int(u))
+
+    def _stored_radius(self, u: int) -> Optional[float]:
+        radius = self._store["radii"][u]
+        if np.isnan(radius):
+            return None
+        return float(radius) if self._weighted else int(radius)
+
     def _materialise(self, u: int) -> Vicinity:
         store = self._store
         lo, hi = int(store["vic_offsets"][u]), int(store["vic_offsets"][u + 1])
@@ -104,14 +141,9 @@ class FlatVicinityList(Sequence):
             int(store["boundary_offsets"][u]),
             int(store["boundary_offsets"][u + 1]),
         )
-        radius = store["radii"][u]
-        if np.isnan(radius):
-            radius = None
-        else:
-            radius = float(radius) if self._weighted else int(radius)
         return Vicinity(
             node=u,
-            radius=radius,
+            radius=self._stored_radius(u),
             dist=dict(zip(keys, values)),
             # Missing predecessors sit outside [0, n): -1 in legacy
             # signed stores, the all-ones sentinel in compact ones.
@@ -160,7 +192,7 @@ class VicinityIndex:
         graph: CSRGraph,
         config: OracleConfig,
         landmarks: LandmarkSet,
-        vicinities: list[Vicinity],
+        vicinities: Sequence[Vicinity],
         tables: dict[int, LandmarkTable],
     ) -> None:
         self.graph = graph
@@ -179,10 +211,12 @@ class VicinityIndex:
         config: Optional[OracleConfig] = None,
         *,
         progress: Optional[ProgressCallback] = None,
-        representation: str = "dict",
         workers: int = 1,
     ) -> "VicinityIndex":
         """Run the complete offline phase.
+
+        Samples the landmark set, then builds straight into the flat
+        store through :func:`repro.core.parallel.build_flat_store`.
 
         Args:
             graph: the network (undirected CSR; weighted or not).
@@ -191,42 +225,20 @@ class VicinityIndex:
             progress: optional callback invoked as
                 ``progress(stage, done, total)`` during the two long
                 stages (``"vicinities"`` and ``"landmark-tables"``).
-            representation: one of :data:`REPRESENTATIONS` — ``"flat"``
-                builds the contiguous arrays directly (the fast path;
-                field-identical to flattening the dict build), ``"dict"``
-                materialises per-node records (the mutable
-                representation the dynamic oracle repairs against).
-            workers: worker processes for the flat pipeline (sources
-                partitioned over a shared-memory CSR); only valid with
-                ``representation="flat"``.
+            workers: worker processes for the build (sources
+                partitioned over a shared-memory CSR); the output is
+                identical for any worker count.
 
         Raises:
             IndexBuildError: for an empty graph or invalid settings.
         """
         if config is None:
             config = OracleConfig()
-        if graph.n == 0:
-            raise IndexBuildError("cannot build an index over an empty graph")
-        rng = ensure_rng(config.seed)
-        scale = config.probability_scale
-        if scale == "auto":
-            # Calibrate so the mean vicinity size meets the paper's
-            # alpha * sqrt(n) target (see repro.core.landmarks).
-            scale = calibrate_scale(graph, config.alpha, rng=rng)
-        landmarks = sample_landmarks(
-            graph,
-            config.alpha,
-            rng=rng,
-            scale=float(scale),
-            per_component=config.landmark_per_component,
-            max_landmarks=config.max_landmarks,
-        )
         return cls.from_landmarks(
             graph,
             config,
-            landmarks,
+            draw_landmarks(graph, config),
             progress=progress,
-            representation=representation,
             workers=workers,
         )
 
@@ -238,34 +250,24 @@ class VicinityIndex:
         landmarks: LandmarkSet,
         *,
         progress: Optional[ProgressCallback] = None,
-        representation: str = "dict",
         workers: int = 1,
     ) -> "VicinityIndex":
         """Build the index for an explicit landmark set.
 
         Split out from :meth:`build` so persistence and the dynamic
         oracle can rebuild against a frozen ``L``, and so the parity
-        suite can pin both representations on one landmark set.
+        suites can pin this builder and the per-node reference builder
+        (:func:`repro.core.reference.build_reference_index`) on one
+        landmark set.
         """
-        if representation not in REPRESENTATIONS:
-            raise IndexBuildError(
-                f"unknown representation {representation!r}; "
-                f"choose from {REPRESENTATIONS}"
-            )
-        if representation == "flat":
-            # Local import: parallel wraps this class for the §5
-            # simulation, so the build backend is imported lazily.
-            from repro.core.parallel import build_flat_store
+        # Local import: parallel wraps this class for the §5
+        # simulation, so the build backend is imported lazily.
+        from repro.core.parallel import build_flat_store
 
-            store = build_flat_store(
-                graph, config, landmarks, workers=workers, progress=progress
-            )
-            return cls.from_flat_store(graph, config, landmarks, store)
-        if workers != 1:
-            raise IndexBuildError("workers > 1 requires representation='flat'")
-        vicinities = cls._build_vicinities(graph, config, landmarks, progress)
-        tables = cls._build_tables(graph, config, landmarks, progress)
-        return cls(graph, config, landmarks, vicinities, tables)
+        store = build_flat_store(
+            graph, config, landmarks, workers=workers, progress=progress
+        )
+        return cls.from_flat_store(graph, config, landmarks, store)
 
     @classmethod
     def from_flat_store(
@@ -275,18 +277,33 @@ class VicinityIndex:
         landmarks: LandmarkSet,
         store: dict,
     ) -> "VicinityIndex":
-        """Wrap flat-native build output as a fully functional index.
+        """Wrap the offline build's store arrays as a fully functional index.
 
         ``store`` holds the persistence-layout arrays
-        (:data:`repro.io.oracle_store.FLAT_STORE_ARRAYS`).  The probe
-        surface (:class:`~repro.core.flat.FlatIndex`) is derived
-        eagerly — it is what every read path runs on — while the
-        record API materialises per-node :class:`Vicinity` views only
-        on demand.  ``save_index`` persists the stored arrays without
-        any re-flattening.
+        (:data:`repro.io.oracle_store.FLAT_STORE_ARRAYS`) plus the probe
+        extras the build emits (per-boundary distances, landmark row
+        map).  The probe surface (:class:`~repro.core.flat.FlatIndex`)
+        wraps them as they are — build output is compact and
+        slice-sorted, so there is nothing to derive — while the record
+        API materialises per-node :class:`Vicinity` views only on
+        demand.  ``save_index`` persists the stored arrays without any
+        re-flattening.
         """
-        from repro.core.flat import FlatIndex
+        from repro.core.flat import PROBE_EXTRA_ARRAYS, FlatIndex
 
+        flat_index = FlatIndex.from_probe_arrays(
+            store,
+            n=graph.n,
+            weighted=graph.is_weighted,
+            store_paths=config.store_paths,
+        )
+        # The index keeps the persistence layout alone; the extras live
+        # on in the probe surface.
+        store = {
+            name: array
+            for name, array in store.items()
+            if name not in PROBE_EXTRA_ARRAYS
+        }
         vicinities = FlatVicinityList(store, graph.n, graph.is_weighted)
         tables: dict[int, LandmarkTable] = {}
         if store["table_dist"].size:
@@ -299,84 +316,8 @@ class VicinityIndex:
                 )
         index = cls(graph, config, landmarks, vicinities, tables)
         index._flat_store = store
-        index._flat_index = FlatIndex.from_store_arrays(
-            store,
-            n=graph.n,
-            weighted=graph.is_weighted,
-            store_paths=config.store_paths,
-        )
+        index._flat_index = flat_index
         return index
-
-    @staticmethod
-    def _build_vicinities(
-        graph: CSRGraph,
-        config: OracleConfig,
-        landmarks: LandmarkSet,
-        progress: Optional[ProgressCallback],
-    ) -> list[Vicinity]:
-        adj = graph.adjacency()
-        flags = landmarks.is_landmark
-        min_size: Optional[int] = None
-        if config.vicinity_floor > 0:
-            if graph.is_weighted:
-                raise IndexBuildError(
-                    "vicinity_floor requires an unweighted graph "
-                    "(per-node radii are only provably exact there)"
-                )
-            min_size = int(config.vicinity_floor * config.alpha * np.sqrt(graph.n))
-        vicinities: list[Vicinity] = []
-        step = max(1, graph.n // 50)
-        for u in range(graph.n):
-            if flags[u]:
-                # Definition 1: a landmark's ball is empty.
-                vicinities.append(
-                    Vicinity(node=u, radius=0, dist={}, pred={}, members=frozenset())
-                )
-            else:
-                if graph.is_weighted:
-                    result = truncated_dijkstra_ball(graph, u, flags)
-                else:
-                    result = truncated_bfs_ball(graph, u, flags, min_size=min_size)
-                vicinities.append(
-                    build_vicinity(
-                        u,
-                        result.radius,
-                        result.dist,
-                        result.pred,
-                        result.gamma,
-                        adj,
-                        store_paths=config.store_paths,
-                    )
-                )
-            if progress is not None and (u + 1) % step == 0:
-                progress("vicinities", u + 1, graph.n)
-        return vicinities
-
-    @staticmethod
-    def _build_tables(
-        graph: CSRGraph,
-        config: OracleConfig,
-        landmarks: LandmarkSet,
-        progress: Optional[ProgressCallback],
-    ) -> dict[int, LandmarkTable]:
-        if config.landmark_tables == "none":
-            return {}
-        tables: dict[int, LandmarkTable] = {}
-        ids = landmarks.ids.tolist()
-        for done, landmark in enumerate(ids, start=1):
-            if graph.is_weighted:
-                dist, parent = dijkstra_tree(graph, landmark)
-                parent = parent.astype(np.int32)
-            else:
-                dist, parent = bfs_tree_vectorized(graph, landmark)
-            tables[landmark] = LandmarkTable(
-                landmark=landmark,
-                dist=dist,
-                parent=parent if config.store_paths else None,
-            )
-            if progress is not None:
-                progress("landmark-tables", done, len(ids))
-        return tables
 
     # ------------------------------------------------------------------
     # accessors
@@ -402,7 +343,10 @@ class VicinityIndex:
 
     def radius(self, u: int) -> Optional[float]:
         """Return the vicinity radius ``d(u, l(u))`` of ``u``."""
-        return self.vicinity(u).radius
+        self.graph.check_node(u)
+        if isinstance(self.vicinities, FlatVicinityList):
+            return self.vicinities.radius(u)
+        return self.vicinities[u].radius
 
     def __repr__(self) -> str:
         return (

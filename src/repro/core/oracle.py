@@ -176,12 +176,10 @@ class VicinityOracle:
         oracle = VicinityOracle(index)
 
     The read path runs on the flat
-    :class:`~repro.core.engine.FlatQueryEngine` — the index is
-    flattened once (lazily, on the first query) and every probe
-    executes against contiguous arrays.  The per-node dicts of the
-    wrapped :class:`VicinityIndex` remain the mutable build/repair
-    representation (the dynamic oracle edits them, then re-flattens the
-    touched slices via :meth:`refresh_engine`).
+    :class:`~repro.core.engine.FlatQueryEngine` over the contiguous
+    arrays the offline build writes.  The dynamic oracle repairs
+    per-node records of the wrapped :class:`VicinityIndex` in place,
+    then re-flattens the touched slices via :meth:`refresh_engine`.
     """
 
     def __init__(self, index: VicinityIndex) -> None:
@@ -202,7 +200,6 @@ class VicinityOracle:
         seed: Optional[int] = None,
         config: Optional[OracleConfig] = None,
         progress=None,
-        representation: str = "dict",
         workers: int = 1,
         **config_overrides,
     ) -> "VicinityOracle":
@@ -217,10 +214,7 @@ class VicinityOracle:
             config: fully explicit configuration; overrides the
                 shorthand arguments.
             progress: optional build progress callback.
-            representation: offline-build representation
-                (:data:`repro.core.index.REPRESENTATIONS`); ``"flat"``
-                is the fast, dict-free pipeline.
-            workers: worker processes for the flat pipeline.
+            workers: worker processes for the offline build.
             **config_overrides: any other :class:`OracleConfig` field.
         """
         if config is None:
@@ -232,7 +226,6 @@ class VicinityOracle:
                 graph,
                 config,
                 progress=progress,
-                representation=representation,
                 workers=workers,
             )
         )
@@ -265,9 +258,9 @@ class VicinityOracle:
     def engine(self):
         """The flat query engine this oracle's read path runs on.
 
-        Built on first access (one flattening pass over the index,
-        cached on the index object) and reused for every subsequent
-        query.  A generation counter on the index — bumped by
+        Built on first access over the index's probe arrays (derived
+        at build or load time and cached on the index object) and
+        reused for every subsequent query.  A generation counter on the index — bumped by
         :meth:`refresh_engine` after every mutation — makes *every*
         wrapper of a mutated index rebuild from the refreshed flatten,
         matching the retired dict path's always-live reads.
@@ -298,7 +291,7 @@ class VicinityOracle:
             index._flat_index = cached.refreshed(index, nodes)
         else:
             index._flat_index = None
-        # A flat-built index keeps its store-layout arrays for dict-free
+        # A built index keeps its store-layout arrays for dict-free
         # persistence; any mutation invalidates them (the next flatten
         # re-extracts from the live records).
         index._flat_store = None

@@ -1,4 +1,4 @@
-"""Partitioned serving simulation (§5) and the flat-native build backend.
+"""Partitioned serving simulation (§5) and the offline build backend.
 
 The paper asks whether vicinity intersection can be parallelised without
 replicating the data structure on every machine.  The structure
@@ -19,9 +19,9 @@ small set Lemma 1 licenses probing — to ``shard(t)``.  The simulation
 counts messages and bytes per query and reports per-shard memory, which
 is what a deployment needs to size machines.
 
-The second half of this module is the offline counterpart of the
-serving-side process pool: :func:`build_flat_store` runs the whole
-§2.2/§3.1 precomputation *flat-natively* — batched truncated BFS
+The second half of this module is the library's only offline build
+path: :func:`build_flat_store` runs the whole §2.2/§3.1 precomputation
+straight into the flat store — batched truncated BFS
 (:mod:`repro.graph.traversal.batched`), vectorised boundary extraction
 (:func:`repro.core.vicinity.boundary_mask_packed`) and direct packing
 into the persistence layout — optionally partitioned across worker
@@ -29,9 +29,9 @@ processes that share the CSR through one
 :class:`~repro.io.shm.SharedArrayBundle` segment and return packed
 per-source slices the coordinator concatenates straight into
 :class:`~repro.core.flat.FlatIndex` arrays.  No per-node dict record is
-ever materialised on this path; the dict builder in
-:class:`~repro.core.index.VicinityIndex` survives as the parity
-baseline (pinned field-identical in ``tests/core/test_flatbuild.py``).
+ever materialised on this path; the per-node dict builder survives
+only as the test oracle in :mod:`repro.core.reference` (pinned
+field-identical in ``tests/core/test_flatbuild.py``).
 """
 
 from __future__ import annotations
@@ -43,7 +43,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.core.flat import compact_store_arrays, id_dtype_for, pred_sentinel
+from repro.core.flat import (
+    compact_store_arrays,
+    id_dtype_for,
+    landmark_row_map,
+    pred_sentinel,
+)
 from repro.core.index import VicinityIndex
 from repro.core.intersect import scan_and_probe
 from repro.core.memory import BYTES_PER_ENTRY_WITH_PATHS
@@ -268,7 +273,7 @@ class PartitionedOracle:
 
 
 # ======================================================================
-# flat-native offline build (vicinities + tables, dict-free)
+# the offline build (vicinities + tables, dict-free)
 # ======================================================================
 
 #: Sources per vicinity work unit.  Small enough for load balance and
@@ -322,15 +327,19 @@ def build_flat_store(
 ) -> dict[str, np.ndarray]:
     """Run the offline phase straight into the flat persistence layout.
 
-    The dict-free counterpart of
-    :meth:`repro.core.index.VicinityIndex.from_landmarks`: every array
-    of :data:`repro.io.oracle_store.FLAT_STORE_ARRAYS` is produced
+    The backend of :meth:`repro.core.index.VicinityIndex.from_landmarks`:
+    every array of :data:`repro.io.oracle_store.FLAT_STORE_ARRAYS` is produced
     directly — batched truncated BFS for the vicinities (per-node
     scalar Dijkstra on weighted graphs), vectorised boundary
     extraction, stacked single-source sweeps for the landmark tables —
     with no per-node ``Vicinity`` record in between.  The output is
-    field-identical to ``flatten_index(VicinityIndex.from_landmarks(...))``
-    for the same ``(graph, config, landmarks)``.
+    field-identical to flattening the per-node reference builder's
+    records (``flatten_index(build_reference_index(...))``, see
+    :mod:`repro.core.reference`) for the same ``(graph, config,
+    landmarks)``.  It also carries the probe extras
+    (:data:`repro.core.flat.PROBE_EXTRA_ARRAYS`: per-boundary
+    distances and the landmark row map), read off the build as it
+    packs, so the probe surface needs no derivation pass.
 
     Args:
         graph: the network (undirected CSR; weighted or not).
@@ -345,14 +354,14 @@ def build_flat_store(
             spec with their tasks and re-attach only when it changes,
             so one pool serves any sequence of graphs.  Overrides
             ``workers``.
-        progress: optional ``(stage, done, total)`` callback, matching
-            the dict builder's stages.
+        progress: optional ``(stage, done, total)`` callback over the
+            ``"vicinities"`` and ``"landmark-tables"`` stages.
         timings: optional dict that receives per-stage wall-clock
             seconds (``"vicinities"``, ``"landmark-tables"``).
 
     Raises:
         IndexBuildError: empty graph, or ``vicinity_floor`` on a
-            weighted graph (mirrors the dict builder).
+            weighted graph.
     """
     if graph.n == 0:
         raise IndexBuildError("cannot build an index over an empty graph")
@@ -511,7 +520,7 @@ def _vicinity_chunk(state: dict, lo: int, hi: int) -> dict[str, np.ndarray]:
 
     Returns per-chunk counts plus concatenated entry columns; landmark
     nodes contribute empty slices and radius 0 exactly as Definition 1
-    (and the dict builder) dictate.
+    dictates.
     """
     graph: CSRGraph = state["graph"]
     flags: np.ndarray = state["flags"]
@@ -525,7 +534,7 @@ def _vicinity_chunk(state: dict, lo: int, hi: int) -> dict[str, np.ndarray]:
         packed = _weighted_sources_packed(graph, flags, sources, state["store_paths"])
         (vic_counts, vic_nodes, vic_dists, vic_preds,
          member_counts, member_nodes, boundary_counts, boundary_nodes,
-         source_radii) = packed
+         boundary_dists, source_radii) = packed
     else:
         balls = grow_balls(
             graph.indptr, graph.indices, graph.n, sources, flags,
@@ -551,6 +560,7 @@ def _vicinity_chunk(state: dict, lo: int, hi: int) -> dict[str, np.ndarray]:
             )
         bmask = balls.boundary_mask
         boundary_nodes = balls.nodes[bmask]
+        boundary_dists = balls.dists[bmask].astype(np.int32, copy=False)
         boundary_counts = np.bincount(
             local_owner[bmask], minlength=sources.size
         ).astype(np.int64)
@@ -574,6 +584,7 @@ def _vicinity_chunk(state: dict, lo: int, hi: int) -> dict[str, np.ndarray]:
         "member_nodes": member_nodes,
         "boundary_counts": boundary_full,
         "boundary_nodes": boundary_nodes,
+        "boundary_dists": boundary_dists,
         "radii": radii,
     }
 
@@ -601,7 +612,7 @@ def _weighted_sources_packed(
     boundary_counts = np.zeros(sources.size, dtype=np.int64)
     radii = np.full(sources.size, np.nan, dtype=np.float64)
     vic_nodes_parts, vic_dists_parts, vic_preds_parts = [], [], []
-    member_parts, boundary_parts = [], []
+    member_parts, boundary_parts, boundary_dist_parts = [], [], []
     single_offset = np.zeros(2, dtype=np.int64)
     for i, u in enumerate(sources.tolist()):
         result = truncated_dijkstra_ball(graph, u, flag_bytes)
@@ -625,6 +636,7 @@ def _weighted_sources_packed(
         boundary = gamma[bmask]
         boundary_counts[i] = boundary.size
         boundary_parts.append(boundary.astype(ids))
+        boundary_dist_parts.append(values[np.searchsorted(keys, boundary)])
         if result.radius is not None:
             radii[i] = float(result.radius)
     empty = np.zeros(0, dtype=ids)
@@ -641,6 +653,11 @@ def _weighted_sources_packed(
         np.concatenate(member_parts) if member_parts else empty,
         boundary_counts,
         np.concatenate(boundary_parts) if boundary_parts else empty,
+        (
+            np.concatenate(boundary_dist_parts)
+            if boundary_dist_parts
+            else np.zeros(0, dtype=np.float64)
+        ),
         radii,
     )
 
@@ -686,6 +703,7 @@ def _assemble_store(
             "landmark_scale": np.asarray(landmarks.scale, dtype=np.float64),
             "table_dist": table_dist,
             "table_parent": table_parent,
+            "landmark_row": landmark_row_map(landmarks.ids, n),
         }
     )
     # The entry columns arrive compact from the chunks; this settles
@@ -719,6 +737,7 @@ def _assemble_vicinity_parts(vic_chunks, n: int, dist_dtype) -> dict[str, np.nda
         "member_nodes": column("member_nodes", ids),
         "boundary_offsets": offsets_of("boundary_counts"),
         "boundary_nodes": column("boundary_nodes", ids),
+        "boundary_dists": column("boundary_dists", dist_dtype),
         "radii": np.concatenate([c["radii"] for c in vic_chunks]),
     }
 
@@ -766,7 +785,7 @@ def build_directed_side_store(
     min_size: Optional[int] = None,
     tables: bool = True,
 ) -> dict[str, np.ndarray]:
-    """Flat-native offline build of one directed orientation.
+    """Offline build of one directed orientation, straight to arrays.
 
     The directed analogue of :func:`build_flat_store` for a single
     side: batched truncated BFS over the orientation's CSR, vectorised
@@ -774,8 +793,8 @@ def build_directed_side_store(
     tables (forward tables for the out side when given
     ``(out_indptr, out_indices)``, backward for the in side).  The
     output layout matches
-    :func:`repro.core.flat.directed_side_store_arrays` on the dict
-    builder's records, field for field.
+    :func:`repro.core.flat.directed_side_store_arrays` on the reference
+    builder's records (:mod:`repro.core.reference`), field for field.
     """
     from repro.graph.traversal.vectorized import digraph_bfs_tree_vectorized
 
@@ -793,6 +812,7 @@ def build_directed_side_store(
     store = _assemble_vicinity_parts(chunks, n, np.int32)
     ids = np.ascontiguousarray(landmark_ids, dtype=np.int64)
     store["landmarks"] = ids
+    store["landmark_row"] = landmark_row_map(ids, n)
     if tables and ids.size:
         dist_rows, parent_rows = [], []
         for landmark in ids.tolist():

@@ -1,19 +1,25 @@
-"""The retired dict probe paths, preserved as the parity baseline.
+"""The retired dict paths, preserved as the parity baseline.
 
-Before PR 3, :class:`~repro.core.oracle.VicinityOracle` and
-:class:`~repro.core.directed.DirectedVicinityOracle` resolved queries by
-probing the per-node dict records directly; the flat
-:class:`~repro.core.engine.FlatQueryEngine` is now the canonical read
-path and the dict resolvers were deleted from the serving surface.
-They live on here, verbatim, for two purposes only:
+The library has one offline build path — the batched flat pipeline
+behind :meth:`~repro.core.index.VicinityIndex.build` and
+:meth:`~repro.core.directed.DirectedVicinityOracle.build` — and one read
+path, the flat :class:`~repro.core.engine.FlatQueryEngine`.  The
+per-node dict implementations both replaced live on here, verbatim, as
+an independent test oracle:
 
-* the dict↔flat **parity suite** (``tests/core/test_engine.py``) pins
-  every :class:`QueryResult` field of the engine against this
-  implementation across random graphs, kernels, directed mode and
-  post-insertion dynamic repair;
-* ``benchmarks/bench_service.py`` races the fused flat ``query_batch``
-  against this dict ``query_batch`` to keep the headline speedup
-  honest (the acceptance bar is >= 2x).
+* **builders** — :func:`build_reference_index` grows one truncated
+  ball per node into :class:`~repro.core.vicinity.Vicinity` records,
+  plus one single-source table per landmark;
+  :func:`build_reference_directed` does the same per orientation.  The build parity suites
+  (``tests/core/test_flatbuild.py`` and friends) pin the flat store
+  field-for-field against flattening these records, and
+  ``benchmarks/bench_offline.py`` races them (the >= 3x bar);
+* **resolvers** — :class:`DictReferenceOracle` and
+  :func:`directed_reference_resolve` probe the dict records directly.
+  The engine parity suite (``tests/core/test_engine.py``) pins every
+  :class:`QueryResult` field of the engine against them, and
+  ``benchmarks/bench_service.py`` races the fused flat ``query_batch``
+  against the dict ``query_batch`` (the >= 2x bar).
 
 Nothing in the serving stack may import this module.
 """
@@ -24,15 +30,203 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.config import OracleConfig
+from repro.core.directed import (
+    DirectedQueryResult,
+    DirectedVicinityOracle,
+    _truncated_directed_ball,
+)
 from repro.core.fallback import fallback_distance, fallback_path
+from repro.core.index import (
+    LandmarkTable,
+    ProgressCallback,
+    VicinityIndex,
+    draw_landmarks,
+)
 from repro.core.intersect import run_kernel, scan_and_probe
+from repro.core.landmarks import LandmarkSet
 from repro.core.oracle import QueryResult
 from repro.core.paths import (
     splice_at_witness,
     walk_parent_array,
     walk_predecessors,
 )
-from repro.exceptions import QueryError
+from repro.core.vicinity import Vicinity, build_vicinity, compute_boundary
+from repro.exceptions import IndexBuildError, QueryError
+from repro.graph.csr import CSRGraph
+from repro.graph.digraph import DiGraph
+from repro.graph.traversal.bounded import truncated_bfs_ball, truncated_dijkstra_ball
+from repro.graph.traversal.dijkstra import dijkstra_tree
+from repro.graph.traversal.vectorized import (
+    bfs_tree_vectorized,
+    digraph_bfs_tree_vectorized,
+)
+from repro.utils.rng import RngLike
+
+
+# ----------------------------------------------------------------------
+# the undirected dict builder (formerly VicinityIndex._build_vicinities /
+# _build_tables)
+# ----------------------------------------------------------------------
+def build_reference_index(
+    graph: CSRGraph,
+    config: Optional[OracleConfig] = None,
+    *,
+    landmarks: Optional[LandmarkSet] = None,
+    progress: Optional[ProgressCallback] = None,
+) -> VicinityIndex:
+    """Run the offline phase one node at a time into dict records.
+
+    Draws the same landmark set as :meth:`VicinityIndex.build` for the
+    same ``(graph, config)`` unless ``landmarks`` pins one, so the two
+    builders are directly comparable.
+    """
+    if config is None:
+        config = OracleConfig()
+    if landmarks is None:
+        landmarks = draw_landmarks(graph, config)
+    vicinities = _reference_vicinities(graph, config, landmarks, progress)
+    tables = _reference_tables(graph, config, landmarks, progress)
+    return VicinityIndex(graph, config, landmarks, vicinities, tables)
+
+
+def _reference_vicinities(
+    graph: CSRGraph,
+    config: OracleConfig,
+    landmarks: LandmarkSet,
+    progress: Optional[ProgressCallback],
+) -> list[Vicinity]:
+    adj = graph.adjacency()
+    flags = landmarks.is_landmark
+    min_size: Optional[int] = None
+    if config.vicinity_floor > 0:
+        if graph.is_weighted:
+            raise IndexBuildError(
+                "vicinity_floor requires an unweighted graph "
+                "(per-node radii are only provably exact there)"
+            )
+        min_size = int(config.vicinity_floor * config.alpha * np.sqrt(graph.n))
+    vicinities: list[Vicinity] = []
+    step = max(1, graph.n // 50)
+    for u in range(graph.n):
+        if flags[u]:
+            # Definition 1: a landmark's ball is empty.
+            vicinities.append(
+                Vicinity(node=u, radius=0, dist={}, pred={}, members=frozenset())
+            )
+        else:
+            if graph.is_weighted:
+                result = truncated_dijkstra_ball(graph, u, flags)
+            else:
+                result = truncated_bfs_ball(graph, u, flags, min_size=min_size)
+            vicinities.append(
+                build_vicinity(
+                    u,
+                    result.radius,
+                    result.dist,
+                    result.pred,
+                    result.gamma,
+                    adj,
+                    store_paths=config.store_paths,
+                )
+            )
+        if progress is not None and (u + 1) % step == 0:
+            progress("vicinities", u + 1, graph.n)
+    return vicinities
+
+
+def _reference_tables(
+    graph: CSRGraph,
+    config: OracleConfig,
+    landmarks: LandmarkSet,
+    progress: Optional[ProgressCallback],
+) -> dict[int, LandmarkTable]:
+    if config.landmark_tables == "none":
+        return {}
+    tables: dict[int, LandmarkTable] = {}
+    ids = landmarks.ids.tolist()
+    for done, landmark in enumerate(ids, start=1):
+        if graph.is_weighted:
+            dist, parent = dijkstra_tree(graph, landmark)
+            parent = parent.astype(np.int32)
+        else:
+            dist, parent = bfs_tree_vectorized(graph, landmark)
+        tables[landmark] = LandmarkTable(
+            landmark=landmark,
+            dist=dist,
+            parent=parent if config.store_paths else None,
+        )
+        if progress is not None:
+            progress("landmark-tables", done, len(ids))
+    return tables
+
+
+# ----------------------------------------------------------------------
+# the directed dict builder (formerly DirectedVicinityOracle._build_side)
+# ----------------------------------------------------------------------
+def build_reference_directed(
+    graph: DiGraph,
+    *,
+    alpha: float = 4.0,
+    seed: RngLike = None,
+    probability_scale="auto",
+    fallback: str = "bidirectional",
+    vicinity_floor: float = 0.0,
+) -> DirectedVicinityOracle:
+    """:meth:`DirectedVicinityOracle.build` one node at a time into records.
+
+    Same arguments, same landmark set; the oracle flattens its records
+    on first query (:meth:`DirectedVicinityOracle.flat_side_stores`).
+    """
+    ids, flags, min_size = DirectedVicinityOracle.draw_landmarks(
+        graph,
+        alpha=alpha,
+        seed=seed,
+        probability_scale=probability_scale,
+        vicinity_floor=vicinity_floor,
+    )
+    out_adj = graph.out_adjacency()
+    in_adj = graph.in_adjacency()
+    out_vicinities = _reference_side(out_adj, flags, graph.n, min_size)
+    in_vicinities = _reference_side(in_adj, flags, graph.n, min_size)
+    forward_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    backward_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for landmark in ids.tolist():
+        forward_tables[landmark] = digraph_bfs_tree_vectorized(
+            graph.out_indptr, graph.out_indices, graph.n, landmark
+        )
+        backward_tables[landmark] = digraph_bfs_tree_vectorized(
+            graph.in_indptr, graph.in_indices, graph.n, landmark
+        )
+    return DirectedVicinityOracle(
+        graph, alpha, ids, flags, out_vicinities, in_vicinities,
+        forward_tables, backward_tables, fallback,
+    )
+
+
+def _reference_side(
+    adj: list[list[int]], flags: bytearray, n: int, min_size=None
+) -> list[Vicinity]:
+    """One orientation's records: ``dist[v]`` is ``d(u -> v)`` on the
+    forward adjacency and ``d(v -> u)`` on the reverse one."""
+    vicinities = []
+    for u in range(n):
+        if flags[u]:
+            vicinities.append(Vicinity(u, 0, {}, {}, frozenset(), []))
+            continue
+        radius, dist, pred, gamma = _truncated_directed_ball(
+            adj, u, flags, min_size=min_size
+        )
+        member_set = frozenset(gamma)
+        boundary = compute_boundary(gamma, member_set, adj)
+        vicinities.append(Vicinity(u, radius, dist, pred, member_set, boundary))
+    return vicinities
+
+
+# ----------------------------------------------------------------------
+# the dict resolvers (formerly VicinityOracle._resolve and
+# DirectedVicinityOracle._resolve)
+# ----------------------------------------------------------------------
 
 
 class DictReferenceOracle:
@@ -204,8 +398,6 @@ def directed_reference_resolve(oracle, source: int, target: int, with_path: bool
     Fallback is reported as a plain ``miss`` — the caller owns fallback
     conversion, matching the engine-backed oracle's split.
     """
-    from repro.core.directed import DirectedQueryResult
-
     probes = 0
     if source == target:
         return DirectedQueryResult(

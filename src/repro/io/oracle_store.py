@@ -42,7 +42,7 @@ from typing import Union
 import numpy as np
 
 from repro.core.config import OracleConfig
-from repro.core.flat import FlatIndex, flatten_index
+from repro.core.flat import PROBE_EXTRA_ARRAYS, FlatIndex, flatten_index
 from repro.core.index import LandmarkTable, VicinityIndex
 from repro.core.landmarks import landmark_set_from_ids
 from repro.core.vicinity import Vicinity
@@ -58,11 +58,6 @@ _DIRECTED_MAGIC = "repro-directed-oracle-v1"
 #: ``kind`` strings namespacing the flat-container schemas.
 FLAT_KIND_INDEX = "vicinity-oracle"
 FLAT_KIND_DIRECTED = "directed-oracle"
-
-#: Derived columns the single-file layout persists beyond
-#: :data:`FLAT_STORE_ARRAYS`, so memory-mapped loads skip every
-#: O(entries) derivation pass.
-PROBE_EXTRA_ARRAYS = ("boundary_dists", "landmark_row")
 
 #: Per-orientation arrays persisted by :func:`save_directed_oracle`
 #: (stored twice, prefixed ``out_`` / ``in_``).
@@ -147,7 +142,7 @@ def save_index(index: VicinityIndex, path: PathLike, *, format: str = None) -> N
     # and carries the derived boundary distances and row map.  Reuse a
     # cached one, else derive from the store just flattened — never
     # through FlatIndex.from_index, which would re-run the whole
-    # record-extraction pass on a dict-built index.
+    # record-extraction pass on an index of mutated records.
     flat = getattr(index, "_flat_index", None)
     if flat is None:
         flat = FlatIndex.from_store_arrays(
@@ -325,15 +320,19 @@ def save_directed_oracle(oracle, path: PathLike, *, format: str = None) -> None:
     Persists the digraph CSR (both orientations) plus each side's flat
     arrays in the same offset-indexed layout :func:`save_index` uses —
     the PR 3 follow-up that lets a loaded directed oracle serve its
-    first query with no flattening pass at all.  A flat-built oracle
-    saves the arrays it already holds; a dict-built one flattens once
-    (cached on the oracle).  The single-file container (default for
+    first query with no flattening pass at all.  A built oracle saves
+    the arrays it already holds; one over per-node records (the
+    reference builder) flattens once (cached on the oracle).  The single-file container (default for
     non-``.npz`` paths) also carries each side's probe-ready extras
     (sorted slices, boundary distances, landmark row map) so a
     memory-mapped load starts in O(n); ``format="npz"`` keeps the PR 4
     archive layout, widened back to int64/-1 markers for old readers.
     """
-    from repro.core.flat import directed_side_flat_index, widen_store
+    from repro.core.flat import (
+        directed_side_flat_index,
+        landmark_row_map,
+        widen_store,
+    )
 
     graph = oracle.graph
     out_store, in_store = oracle.flat_side_stores()
@@ -372,11 +371,7 @@ def save_directed_oracle(oracle, path: PathLike, *, format: str = None) -> None:
         arrays[f"{prefix}_boundary_dists"] = side_flat.boundary_dists
     # The row map depends only on (landmarks, n) and is shared by both
     # sides, so derive it once rather than borrowing either side's.
-    landmark_row = np.full(graph.n, -1, dtype=np.int32)
-    landmark_row[arrays["landmarks"]] = np.arange(
-        arrays["landmarks"].size, dtype=np.int32
-    )
-    arrays["landmark_row"] = landmark_row
+    arrays["landmark_row"] = landmark_row_map(arrays["landmarks"], graph.n)
     write_flat_file(
         path, arrays, {**meta, "n": graph.n}, kind=FLAT_KIND_DIRECTED
     )

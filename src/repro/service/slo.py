@@ -404,7 +404,10 @@ class SloController:
         self.early_flushes += 1
 
     def observe_execute(self, elapsed_s: float, items: int) -> None:
+        """Record one dispatched batch's execute time: it feeds the
+        completion predictor and the ``"execute"`` stage EWMA alike."""
         self.predictor.observe_execute(elapsed_s, items)
+        self.observe_stage("execute", elapsed_s)
 
     def note_completion(self, deadline: Deadline) -> bool:
         """Record a finished deadline-carrying request; True when met."""

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.config import OracleConfig
 from repro.core.oracle import VicinityOracle
+from repro.core.reference import build_reference_index
 from repro.datasets.social import generate
 from repro.graph.builder import (
     complete_graph,
@@ -17,6 +18,39 @@ from repro.graph.builder import (
     star_graph,
 )
 from repro.graph.components import largest_component
+
+
+def pytest_sessionstart(session):
+    """Compile the native kernel tier once, before collection.
+
+    The native suites' ``skipif`` markers are evaluated at collection
+    time, so a fixture would run too late: this hook builds the
+    extension when it is absent and a C compiler is on hand, so a local
+    run covers both kernel tiers.  Without a compiler it does nothing
+    and those suites skip, which is what the pure-Python CI job relies
+    on.
+    """
+    from repro.core import _native
+    from repro.core._native import build
+
+    if build.lib_path().exists() or build.find_compiler() is None:
+        return
+    try:
+        build.build()
+    except RuntimeError as exc:
+        print(f"native kernel build skipped: {exc}")
+    _native._reset_loader_state()
+
+
+def reference_twin(index):
+    """The per-node reference build of ``index``'s graph, config and ``L``.
+
+    Parity suites compare the offline build against this, never against
+    a second run of the same builder.
+    """
+    return build_reference_index(
+        index.graph, index.config, landmarks=index.landmarks
+    )
 
 
 def random_graph(n: int, m: int, seed: int = 0, *, weighted: bool = False):

@@ -4,7 +4,8 @@ The dtype policy (:func:`repro.core.flat.compact_store_arrays`) must
 never change an answer: every suite here pins a compact (or mapped, or
 legacy-loaded) index field-identical — distance, method, witness,
 probes, path — against the int64 layout it replaced or the dict
-reference path.
+reference path over the per-node reference build
+(:func:`tests.conftest.reference_twin`).
 """
 
 import numpy as np
@@ -38,7 +39,7 @@ from repro.io.oracle_store import (
     save_index,
 )
 
-from tests.conftest import random_connected_graph
+from tests.conftest import random_connected_graph, reference_twin
 
 
 def _pairs(n, count, seed):
@@ -132,7 +133,9 @@ class TestCompactVersusInt64:
             pairs, with_path=True
         )
         assert_results_identical(a, b)
-        c = DictReferenceOracle(built).query_batch(pairs, with_path=True)
+        c = DictReferenceOracle(reference_twin(built)).query_batch(
+            pairs, with_path=True
+        )
         assert_results_identical(a, c)
 
 
@@ -156,16 +159,16 @@ class TestUint32Boundary:
         landmarks = landmark_set_from_ids(
             graph, list(range(0, n, 8)), config.alpha
         )
-        return VicinityIndex.from_landmarks(
-            graph, config, landmarks, representation="flat"
-        )
+        return VicinityIndex.from_landmarks(graph, config, landmarks)
 
     def test_uint32_ids_and_query_parity(self, built, tmp_path):
         flat = built._flat_index
         assert flat.id_dtype == np.uint32
         assert flat.vic_preds.dtype == np.uint32
         pairs = _pairs(built.n, 300, seed=11)
-        want = DictReferenceOracle(built).query_batch(pairs, with_path=True)
+        want = DictReferenceOracle(reference_twin(built)).query_batch(
+            pairs, with_path=True
+        )
         got = FlatQueryEngine(flat, kernel=built.config.kernel).query_batch(
             pairs, with_path=True
         )
@@ -217,7 +220,9 @@ class TestWeightedDistanceWidths:
         got = FlatQueryEngine(flat, kernel=built.config.kernel).query_batch(
             pairs, with_path=True
         )
-        want = DictReferenceOracle(built).query_batch(pairs, with_path=True)
+        want = DictReferenceOracle(reference_twin(built)).query_batch(
+            pairs, with_path=True
+        )
         assert_results_identical(got, want)
 
 
@@ -325,7 +330,7 @@ class TestDirectedCompact:
         dst = rng.integers(0, n, size=m)
         graph = digraph_from_arrays(src, dst, n=n)
         return DirectedVicinityOracle.build(
-            graph, alpha=3.0, seed=7, fallback="none", representation="flat"
+            graph, alpha=3.0, seed=7, fallback="none"
         )
 
     def test_sides_are_compact(self, oracle):

@@ -3,9 +3,11 @@
 Property-style suites asserting identical :class:`QueryResult` fields —
 distance, method, witness, probes, path — between
 :class:`~repro.core.engine.FlatQueryEngine` (the canonical read path)
-and :mod:`repro.core.reference` (the PR 2 dict probe paths, preserved
-verbatim), across random graphs (weighted and unweighted), every
-kernel, directed mode, and post-insertion dynamic repair.
+over the offline build and :mod:`repro.core.reference` (the dict probe
+paths, preserved verbatim) over the per-node reference build of the
+same graph, config and landmark set, across random graphs (weighted
+and unweighted), every kernel, directed mode, and post-insertion
+dynamic repair.
 """
 
 import numpy as np
@@ -21,10 +23,15 @@ from repro.core.engine import (
 )
 from repro.core.flat import FlatIndex, flatten_index
 from repro.core.oracle import VicinityOracle
-from repro.core.reference import DictReferenceOracle, directed_reference_resolve
+from repro.core.reference import (
+    DictReferenceOracle,
+    build_reference_directed,
+    build_reference_index,
+    directed_reference_resolve,
+)
 from repro.exceptions import NodeNotFoundError, QueryError
 
-from tests.conftest import random_connected_graph
+from tests.conftest import random_connected_graph, reference_twin
 
 
 def fields(result):
@@ -62,16 +69,29 @@ def built(request):
     return oracle.index
 
 
+@pytest.fixture(scope="module")
+def twin(built):
+    """The per-node reference build of ``built`` (same graph, config, L)."""
+    return reference_twin(built)
+
+
+def dict_reference(twin, index):
+    """The dict resolver over ``twin``, following ``index``'s current
+    config (the suites below switch kernels on the shared fixture)."""
+    twin.config = index.config
+    return DictReferenceOracle(twin)
+
+
 class TestSinglePairParity:
     @pytest.mark.parametrize(
         "kernel",
         ["boundary-source", "boundary-target", "boundary-smaller",
          "full-source", "full-smaller"],
     )
-    def test_all_fields_match_reference(self, built, kernel):
+    def test_all_fields_match_reference(self, built, twin, kernel):
         index = built
         index.config = index.config.with_updates(kernel=kernel)
-        reference = DictReferenceOracle(index)
+        reference = dict_reference(twin, index)
         engine = FlatQueryEngine.from_index(index)
         exact = kernel in ORDER_EXACT_KERNELS
         for s, t in random_pairs(index.n, 500, seed=9):
@@ -81,10 +101,10 @@ class TestSinglePairParity:
                 got, want, exact_witness=exact, context=(kernel, s, t)
             )
 
-    def test_paths_match_reference(self, built):
+    def test_paths_match_reference(self, built, twin):
         index = built
         index.config = index.config.with_updates(kernel="boundary-smaller")
-        reference = DictReferenceOracle(index)
+        reference = dict_reference(twin, index)
         engine = FlatQueryEngine.from_index(index)
         for s, t in random_pairs(index.n, 250, seed=10):
             got = engine.resolve(s, t, True)
@@ -97,7 +117,7 @@ class TestSinglePairParity:
         graph = random_connected_graph(160, 380, seed=41)
         config = OracleConfig(alpha=0.5, seed=3, fallback="bidirectional")
         oracle = VicinityOracle.build(graph, config=config)
-        reference = DictReferenceOracle(oracle.index)
+        reference = DictReferenceOracle(reference_twin(oracle.index))
         methods = set()
         for s, t in random_pairs(graph.n, 300, seed=11):
             got = oracle.query(s, t, with_path=True)
@@ -117,10 +137,10 @@ class TestBatchParity:
             want = engine.resolve(s, t, False)
             assert fields(got) == fields(want), (s, t)
 
-    def test_batch_with_paths_matches_dict_batch(self, built):
+    def test_batch_with_paths_matches_dict_batch(self, built, twin):
         index = built
         index.config = index.config.with_updates(kernel="boundary-smaller")
-        reference = DictReferenceOracle(index)
+        reference = dict_reference(twin, index)
         engine = FlatQueryEngine.from_index(index)
         pairs = random_pairs(index.n, 200, seed=13)
         got = engine.query_batch(pairs, with_path=True)
@@ -178,10 +198,10 @@ class TestKernelTierParity:
         ["boundary-source", "boundary-target", "boundary-smaller",
          "full-source", "full-smaller"],
     )
-    def test_all_fields_match_reference(self, built, tier, kernel):
+    def test_all_fields_match_reference(self, built, twin, tier, kernel):
         index = built
         index.config = index.config.with_updates(kernel=kernel)
-        reference = DictReferenceOracle(index)
+        reference = dict_reference(twin, index)
         engine = FlatQueryEngine.from_index(index, kernels=tier)
         assert engine.kernels == tier
         exact = kernel in ORDER_EXACT_KERNELS
@@ -192,10 +212,10 @@ class TestKernelTierParity:
                 got, want, exact_witness=exact, context=(tier, kernel, s, t)
             )
 
-    def test_paths_match_reference(self, built, tier):
+    def test_paths_match_reference(self, built, twin, tier):
         index = built
         index.config = index.config.with_updates(kernel="boundary-smaller")
-        reference = DictReferenceOracle(index)
+        reference = dict_reference(twin, index)
         engine = FlatQueryEngine.from_index(index, kernels=tier)
         for s, t in random_pairs(index.n, 150, seed=10):
             got = engine.resolve(s, t, True)
@@ -214,24 +234,27 @@ class TestDirectedParity:
         graph = digraph_from_arrays(
             rng.integers(0, n, m), rng.integers(0, n, m), n=n
         )
-        return DirectedVicinityOracle.build(graph, alpha=2.0, seed=5)
+        oracle = DirectedVicinityOracle.build(graph, alpha=2.0, seed=5)
+        reference = build_reference_directed(graph, alpha=2.0, seed=5)
+        assert np.array_equal(oracle.landmark_ids, reference.landmark_ids)
+        return oracle, reference
 
     def test_engine_matches_dict_resolve(self, directed_oracle):
-        oracle = directed_oracle
+        oracle, reference = directed_oracle
         for s, t in random_pairs(oracle.graph.n, 400, seed=19):
             got = oracle.engine.resolve(s, t, False)
-            want = directed_reference_resolve(oracle, s, t)
+            want = directed_reference_resolve(reference, s, t)
             assert fields(got) == fields(want), (s, t)
 
     def test_engine_paths_match_dict_resolve(self, directed_oracle):
-        oracle = directed_oracle
+        oracle, reference = directed_oracle
         for s, t in random_pairs(oracle.graph.n, 200, seed=20):
             got = oracle.engine.resolve(s, t, True)
-            want = directed_reference_resolve(oracle, s, t, with_path=True)
+            want = directed_reference_resolve(reference, s, t, with_path=True)
             assert fields(got) == fields(want), (s, t)
 
     def test_batch_matches_per_pair_query(self, directed_oracle):
-        oracle = directed_oracle
+        oracle, _ = directed_oracle
         pairs = random_pairs(oracle.graph.n, 300, seed=21)
         batch = oracle.query_batch(pairs)
         for (s, t), got in zip(pairs, batch):
@@ -240,15 +263,28 @@ class TestDirectedParity:
 
 
 class TestDynamicRepairParity:
+    GRAPH = dict(n=150, m=400, seed=23)
+    CONFIG = OracleConfig(alpha=4.0, seed=7, fallback="none")
+
     def test_engine_tracks_insertions(self):
         """After every insertion the incrementally-refreshed engine must
-        equal both the dict reference on the repaired index and a fresh
-        full flatten."""
-        graph = random_connected_graph(150, 400, seed=23)
-        config = OracleConfig(alpha=4.0, seed=7, fallback="none")
-        dynamic = DynamicVicinityOracle(
-            VicinityOracle.build(graph, config=config).index
+        equal the dict reference on the repaired index."""
+        graph = random_connected_graph(**self.GRAPH)
+        self._track_insertions(
+            VicinityOracle.build(graph, config=self.CONFIG).index
         )
+
+    def test_engine_tracks_insertions_from_reference_build(self):
+        """The same, starting from the per-node reference builder's dict
+        records (discovery order) instead of the offline build's lazy
+        records."""
+        graph = random_connected_graph(**self.GRAPH)
+        self._track_insertions(build_reference_index(graph, self.CONFIG))
+
+    @staticmethod
+    def _track_insertions(index):
+        graph = index.graph
+        dynamic = DynamicVicinityOracle(index)
         pairs = random_pairs(graph.n, 150, seed=24)
         dynamic.query(0, 1)  # force the engine into existence
         rng = np.random.default_rng(25)

@@ -1,12 +1,14 @@
-"""Flat-native offline build: field-identical to the dict builder.
+"""The offline build: field-identical to the per-node reference builder.
 
-The parity contract of PR 4: for any ``(graph, config, landmarks)``,
-:func:`repro.core.parallel.build_flat_store` (batched truncated BFS,
-vectorised boundary extraction, direct packing) produces exactly the
-arrays that flattening the dict builder's records produces — members,
-dists, preds, boundaries (in Lemma 1 scan order), radii and landmark
-tables — across weighted/unweighted graphs, the vicinity floor,
-``store_paths=False``, table-less indices, directed mode, and any
+The parity contract: for any ``(graph, config, landmarks)``,
+:meth:`VicinityIndex.build` (batched truncated BFS through
+:func:`repro.core.parallel.build_flat_store`, vectorised boundary
+extraction, direct packing) produces exactly the arrays that flattening
+the records of :func:`repro.core.reference.build_reference_index`
+produces — members, dists, preds, boundaries (in Lemma 1 scan order),
+radii and landmark tables — across weighted/unweighted graphs, the
+vicinity floor, ``store_paths=False``, table-less indices, directed
+mode (:func:`~repro.core.reference.build_reference_directed`), and any
 worker count.
 """
 
@@ -28,7 +30,7 @@ from repro.core.landmarks import (
     sample_landmarks,
 )
 from repro.core.oracle import VicinityOracle
-from repro.exceptions import IndexBuildError
+from repro.core.reference import build_reference_directed, build_reference_index
 from repro.graph.traversal.batched import grow_balls
 from repro.graph.traversal.bounded import truncated_bfs_ball
 from repro.io.oracle_store import (
@@ -53,9 +55,10 @@ def assert_stores_equal(want, got, names=FLAT_STORE_ARRAYS, context=""):
 
 
 def build_both(graph, config):
-    """(dict store, flat store) for one frozen landmark set."""
-    dict_index = VicinityIndex.build(graph, config)
-    flat_index = VicinityIndex.build(graph, config, representation="flat")
+    """(reference-built index, built index) for one config."""
+    dict_index = build_reference_index(graph, config)
+    flat_index = VicinityIndex.build(graph, config)
+    assert not isinstance(dict_index.vicinities, FlatVicinityList)
     # Same seed -> same sampling draws -> identical landmark sets.
     assert np.array_equal(dict_index.landmarks.ids, flat_index.landmarks.ids)
     return dict_index, flat_index
@@ -113,14 +116,42 @@ class TestStoreParity:
             assert np.array_equal(want.arrays[name], got.arrays[name]), name
         assert want.join_max_scan == got.join_max_scan
 
-    def test_workers_requires_flat(self):
-        graph = random_connected_graph(60, 150, seed=1)
-        with pytest.raises(IndexBuildError):
-            VicinityIndex.build(graph, OracleConfig(seed=1), workers=2)
-        with pytest.raises(IndexBuildError):
-            VicinityIndex.build(
-                graph, OracleConfig(seed=1), representation="nope"
-            )
+
+class TestProbeExtras:
+    """The build emits per-boundary distances and the landmark row map
+    as it packs; they must equal what the probe surface would derive
+    from the persistence layout alone."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_emitted_extras_match_derivation(self, weighted):
+        graph = random_connected_graph(200, 600, seed=37, weighted=weighted)
+        index = VicinityIndex.build(graph, OracleConfig(alpha=4.0, seed=9))
+        assert not set(index._flat_store) & {"boundary_dists", "landmark_row"}
+        derived = FlatIndex.from_store_arrays(
+            index._flat_store, n=graph.n, weighted=weighted
+        )
+        for name in ("boundary_dists", "landmark_row"):
+            got = index._flat_index.arrays[name]
+            assert got.dtype == derived.arrays[name].dtype, name
+            assert np.array_equal(got, derived.arrays[name]), name
+
+    def test_directed_sides_carry_extras(self):
+        from repro.core.directed import DirectedVicinityOracle
+        from repro.graph.builder import digraph_from_arrays
+        from repro.io.oracle_store import DIRECTED_SIDE_ARRAYS
+
+        rng = np.random.default_rng(43)
+        n, arcs = 160, 900
+        graph = digraph_from_arrays(
+            rng.integers(0, n, arcs), rng.integers(0, n, arcs), n=n
+        )
+        oracle = DirectedVicinityOracle.build(graph, alpha=3.0, seed=5)
+        for side in oracle.flat_side_stores():
+            layout = {name: side[name] for name in DIRECTED_SIDE_ARRAYS}
+            layout["landmarks"] = side["landmarks"]
+            derived = FlatIndex.from_store_arrays(layout, n=n, weighted=False)
+            for name in ("boundary_dists", "landmark_row"):
+                assert np.array_equal(side[name], derived.arrays[name]), name
 
 
 class TestMultiWorkerDeterminism:
@@ -129,10 +160,8 @@ class TestMultiWorkerDeterminism:
         # CSR, chunked sources, ordered concatenation), not scale.
         graph = random_connected_graph(150, 420, seed=29)
         config = OracleConfig(alpha=4.0, seed=13, fallback="none")
-        one = VicinityIndex.build(graph, config, representation="flat")
-        two = VicinityIndex.build(
-            graph, config, representation="flat", workers=2
-        )
+        one = VicinityIndex.build(graph, config)
+        two = VicinityIndex.build(graph, config, workers=2)
         assert_stores_equal(one._flat_store, two._flat_store)
 
 
@@ -227,7 +256,7 @@ class TestFlatBuiltIndexBehaviour:
     def test_dynamic_repair_on_flat_built_index(self):
         graph = random_connected_graph(140, 380, seed=67)
         config = OracleConfig(alpha=4.0, seed=23)
-        index = VicinityIndex.build(graph, config, representation="flat")
+        index = VicinityIndex.build(graph, config)
         dynamic = DynamicVicinityOracle(index)
         rng = np.random.default_rng(71)
         added = 0
@@ -237,12 +266,12 @@ class TestFlatBuiltIndexBehaviour:
                 assert dynamic.add_edge(u, v)
                 added += 1
         # Mutation invalidates the stored arrays; queries must match a
-        # fresh build on the updated graph with the same landmark set.
+        # reference build on the updated graph with the same landmark set.
         assert index._flat_store is None
-        fresh = VicinityIndex.from_landmarks(
+        fresh = build_reference_index(
             dynamic.graph,
             config,
-            landmark_set_from_ids(
+            landmarks=landmark_set_from_ids(
                 dynamic.graph, index.landmarks.ids.tolist(), config.alpha
             ),
         )
@@ -263,10 +292,9 @@ class TestDirectedParity:
         )
         from repro.core.directed import DirectedVicinityOracle
 
-        d = DirectedVicinityOracle.build(graph, alpha=4.0, seed=31)
-        f = DirectedVicinityOracle.build(
-            graph, alpha=4.0, seed=31, representation="flat"
-        )
+        d = build_reference_directed(graph, alpha=4.0, seed=31)
+        f = DirectedVicinityOracle.build(graph, alpha=4.0, seed=31)
+        assert d._flat_sides is None and f._flat_sides is not None
         return d, f
 
     def test_side_stores_field_identical(self, oracles):
@@ -330,9 +358,7 @@ class TestJoinScanCalibration:
 
     def test_flat_index_carries_calibrated_value(self):
         graph = random_connected_graph(160, 480, seed=97)
-        index = VicinityIndex.build(
-            graph, OracleConfig(alpha=4.0, seed=3), representation="flat"
-        )
+        index = VicinityIndex.build(graph, OracleConfig(alpha=4.0, seed=3))
         flat = index._flat_index
         assert 8 <= flat.join_max_scan <= 4 * JOIN_MAX_SCAN
         assert flat.join_max_scan == calibrate_join_max_scan(

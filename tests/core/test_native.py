@@ -26,7 +26,7 @@ from repro.exceptions import KernelError
 from repro.io.oracle_store import load_flat_index, save_index
 from repro.service.wire import RequestFrame
 
-from tests.conftest import random_connected_graph
+from tests.conftest import random_connected_graph, reference_twin
 
 HAVE_NATIVE = _native.load_library() is not None
 needs_native = pytest.mark.skipif(
@@ -258,6 +258,24 @@ class TestScalarParity:
 
 
 @needs_native
+class TestReferenceBuildParity:
+    def test_native_on_build_matches_numpy_on_reference_build(self, built):
+        """Both axes at once: the native tier over the offline build
+        answers exactly as the numpy tier over the per-node reference
+        build of the same graph, config and landmark set."""
+        twin = reference_twin(built)
+        pairs = _pairs(built.n, 400, seed=41)
+        kernel = built.config.kernel
+        want = FlatQueryEngine.from_index(
+            twin, kernel=kernel, kernels="numpy"
+        ).query_batch(pairs, with_path=True)
+        got = FlatQueryEngine.from_index(
+            built, kernel=kernel, kernels="native"
+        ).query_batch(pairs, with_path=True)
+        assert_results_identical(got, want)
+
+
+@needs_native
 class TestDtypeGridParity:
     """Every compact distance/id width through the same C entry points."""
 
@@ -295,9 +313,7 @@ class TestDtypeGridParity:
             alpha=4.0, seed=5, fallback="none", landmark_tables="none"
         )
         landmarks = landmark_set_from_ids(graph, list(range(0, n, 8)), config.alpha)
-        index = VicinityIndex.from_landmarks(
-            graph, config, landmarks, representation="flat"
-        )
+        index = VicinityIndex.from_landmarks(graph, config, landmarks)
         assert index._flat_index.id_dtype == np.uint32
         self._check(index)
 

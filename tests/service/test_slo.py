@@ -376,6 +376,29 @@ class TestCoalescerDeadlines:
         assert bounded == pytest.approx(0.250)
         assert sorted(by_budget[bounded]) == [(0, 1), (2, 3)]
 
+    def test_execute_stage_is_recorded(self):
+        """Regression: the execute stage EWMA used to stay at 0.0 because
+        batch execute times fed only the completion predictor."""
+
+        async def scenario():
+            clock = FakeClock()
+            ctl = SloController(SloConfig(), clock=clock)
+
+            def runner(pairs, with_path, budget_s=None):
+                clock.advance(0.004)  # the backend's execute time
+                return [None] * len(pairs)
+
+            coalescer = Coalescer(runner, window_us=None, slo=ctl, clock=clock)
+            future = coalescer.offer(0, 1, deadline=Deadline(0.250, clock=clock))
+            await coalescer.flush()
+            await coalescer.close()
+            return future.result(), ctl.snapshot()
+
+        result, snap = sync(scenario())
+        assert result is None  # the stub runner's answer, delivered
+        assert snap["stages_ms"]["execute"] > 0
+        assert snap["stages_ms"]["execute"] == pytest.approx(4.0)
+
     def test_tight_deadline_flushes_before_the_window(self, app):
         async def scenario():
             # A 0.5 s window would sit on a 20 ms deadline for half a

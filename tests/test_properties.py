@@ -15,6 +15,11 @@ These machine-check, over arbitrary random graphs and landmark sets:
   underestimate;
 * **builder canonicalisation** — CSR invariants survive arbitrary edge
   lists.
+
+The index-level properties draw their builder too: the offline build
+and the per-node reference builder
+(:func:`repro.core.reference.build_reference_index`) must both satisfy
+them on the same landmark set.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from repro.core.index import VicinityIndex
 from repro.core.intersect import run_kernel
 from repro.core.landmarks import landmark_set_from_ids
 from repro.core.oracle import VicinityOracle
+from repro.core.reference import build_reference_index
 from repro.graph.builder import graph_from_arrays
 from repro.graph.components import largest_component
 from repro.graph.traversal.bfs import bfs_distance, bfs_distances
@@ -91,18 +97,28 @@ def test_gamma_equals_radius_ball(case):
 # ----------------------------------------------------------------------
 # Theorem 1 + Lemma 1
 # ----------------------------------------------------------------------
-def _build_index(graph, landmarks, floor=0.0):
+#: Both offline builders, keyed for hypothesis to draw from.
+BUILDERS = {
+    "build": VicinityIndex.from_landmarks,
+    "reference": lambda graph, config, landmarks: build_reference_index(
+        graph, config, landmarks=landmarks
+    ),
+}
+builders = st.sampled_from(sorted(BUILDERS))
+
+
+def _build_index(graph, landmarks, builder, floor=0.0):
     config = OracleConfig(
         alpha=4.0, probability_scale=1.0, fallback="none", vicinity_floor=floor
     )
-    return VicinityIndex.from_landmarks(graph, config, landmarks)
+    return BUILDERS[builder](graph, config, landmarks)
 
 
 @settings(max_examples=40, deadline=None)
-@given(graphs_with_landmarks(), st.sampled_from([0.0, 0.5]))
-def test_theorem_1_intersection_minimum_is_exact(case, floor):
+@given(graphs_with_landmarks(), st.sampled_from([0.0, 0.5]), builders)
+def test_theorem_1_intersection_minimum_is_exact(case, floor, builder):
     graph, landmarks = case
-    index = _build_index(graph, landmarks, floor=floor)
+    index = _build_index(graph, landmarks, builder, floor=floor)
     flags = landmarks.is_landmark
     for s in range(graph.n):
         if flags[s]:
@@ -121,10 +137,10 @@ def test_theorem_1_intersection_minimum_is_exact(case, floor):
 
 
 @settings(max_examples=40, deadline=None)
-@given(graphs_with_landmarks())
-def test_lemma_1_boundary_scan_is_sufficient(case):
+@given(graphs_with_landmarks(), builders)
+def test_lemma_1_boundary_scan_is_sufficient(case, builder):
     graph, landmarks = case
-    index = _build_index(graph, landmarks)
+    index = _build_index(graph, landmarks, builder)
     flags = landmarks.is_landmark
     for s in range(graph.n):
         if flags[s]:
@@ -186,11 +202,11 @@ def test_oracle_paths_are_shortest_walks(graph, seed):
 # Weighted graphs: the surviving guarantee
 # ----------------------------------------------------------------------
 @settings(max_examples=25, deadline=None)
-@given(graphs_with_landmarks(weighted=True))
-def test_weighted_intersection_never_underestimates(case):
+@given(graphs_with_landmarks(weighted=True), builders)
+def test_weighted_intersection_never_underestimates(case, builder):
     graph, landmarks = case
     config = OracleConfig(alpha=4.0, probability_scale=1.0, fallback="none")
-    index = VicinityIndex.from_landmarks(graph, config, landmarks)
+    index = BUILDERS[builder](graph, config, landmarks)
     oracle = VicinityOracle(index)
     for s in range(0, graph.n, max(1, graph.n // 5)):
         truth = dijkstra_distances(graph, s)

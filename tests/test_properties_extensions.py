@@ -3,7 +3,8 @@
 * directed Theorem-1 analogue: intersection answers on unweighted
   digraphs are exact;
 * dynamic oracle: any insertion sequence leaves queries identical to a
-  frozen-landmark rebuild on the final graph;
+  frozen-landmark rebuild on the final graph by the per-node reference
+  builder;
 * partitioned oracle: sharding never changes a distance;
 * persistence: save/load is the identity on query behaviour.
 """
@@ -20,6 +21,7 @@ from repro.core.dynamic import DynamicVicinityOracle
 from repro.core.index import VicinityIndex
 from repro.core.oracle import VicinityOracle
 from repro.core.parallel import PartitionedOracle
+from repro.core.reference import build_reference_index
 from repro.graph.builder import digraph_from_arrays, graph_from_arrays
 from repro.graph.components import largest_component
 from repro.graph.traversal.bfs import bfs_distance
@@ -77,8 +79,10 @@ def test_dynamic_matches_frozen_rebuild(graph, seed, raw_edges):
         if u != v and not dynamic.graph.has_edge(u, v):
             dynamic.add_edge(u, v)
     static = VicinityOracle(
-        VicinityIndex.from_landmarks(
-            dynamic.graph, dynamic.index.config, dynamic.index.landmarks
+        build_reference_index(
+            dynamic.graph,
+            dynamic.index.config,
+            landmarks=dynamic.index.landmarks,
         )
     )
     for s in range(graph.n):
