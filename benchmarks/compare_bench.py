@@ -39,6 +39,7 @@ from pathlib import Path
 HIGHER_IS_BETTER = {
     "qps",
     "goodput_qps",
+    "exact_goodput_qps",
     "nodes_per_second",
     "speedup",
     "speedup_flat_vs_dict",
@@ -54,6 +55,7 @@ LOWER_IS_BETTER = {
     "exact_p50_ms",
     "exact_p99_ms",
     "unanswered_rate",
+    "estimate_share",
 }
 
 

@@ -322,7 +322,7 @@ class NetStats:
 
     def reset(self) -> None:
         """Zero the aggregates; live connections keep their identities."""
-        reservoir = self.queue_wait._samples.maxlen or 8192
+        reservoir = self.queue_wait.reservoir
         self._closed = dict.fromkeys(_FOLDED, 0)
         self.accepted = self.overloaded = self.degraded = self.errors = 0
         self.idle_closed = 0

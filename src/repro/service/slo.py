@@ -31,7 +31,10 @@ budget accounting, in ``transport_stats()["slo"]``).
 
 from __future__ import annotations
 
+import math
 import time
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -126,17 +129,30 @@ class CompletionPredictor:
     def __init__(
         self, *, quantile: float = 99.0, alpha: float = 0.2, reservoir: int = 2048
     ) -> None:
+        if not 0 <= quantile <= 100:
+            raise ValueError("quantile must be within [0, 100]")
         self.quantile = float(quantile)
         self.alpha = float(alpha)
         self.ewma_item_s = 0.0
         self.ewma_execute_s = 0.0
-        self.execute = LatencyHistogram(reservoir)
+        self.executes = 0
+        # The last ``reservoir`` execute times, twice: in arrival order
+        # (which sample leaves next) and sorted (the tail is an index
+        # read).  Batches write here once each; every deadline-carrying
+        # request reads the tail, at admission and again on offer.
+        self._arrivals: deque[float] = deque(maxlen=reservoir)
+        self._ordered: list[float] = []
         self.completion = LatencyHistogram(reservoir)
 
     def observe_execute(self, elapsed_s: float, items: int) -> None:
         """Record one dispatched batch's execute time."""
         elapsed_s = max(0.0, float(elapsed_s))
-        self.execute.observe(elapsed_s)
+        arrivals = self._arrivals
+        if len(arrivals) == arrivals.maxlen:
+            del self._ordered[bisect_left(self._ordered, arrivals[0])]
+        arrivals.append(elapsed_s)
+        insort(self._ordered, elapsed_s)
+        self.executes += 1
         share = elapsed_s / items if items else 0.0
         self.ewma_item_s = self._fold(self.ewma_item_s, share)
         self.ewma_execute_s = self._fold(self.ewma_execute_s, elapsed_s)
@@ -151,8 +167,17 @@ class CompletionPredictor:
         return (1.0 - self.alpha) * ewma + self.alpha * sample
 
     def execute_tail_s(self) -> float:
-        """Pessimistic single-batch execute time (quantile vs EWMA max)."""
-        return max(self.ewma_execute_s, self.execute.percentile(self.quantile))
+        """Pessimistic single-batch execute time (quantile vs EWMA max).
+
+        The quantile is the nearest rank over the execute window, as
+        :meth:`LatencyHistogram.percentile` computes it, read without a
+        sort.
+        """
+        ordered = self._ordered
+        if not ordered:
+            return self.ewma_execute_s
+        rank = max(1, math.ceil(self.quantile / 100.0 * len(ordered)))
+        return max(self.ewma_execute_s, ordered[rank - 1])
 
     def predict_s(self, depth: int = 0) -> float:
         """Predicted completion time for a request admitted at ``depth``.
@@ -167,7 +192,7 @@ class CompletionPredictor:
             "ewma_item_us": self.ewma_item_s * 1e6,
             "execute_tail_ms": self.execute_tail_s() * 1e3,
             "completion_p99_ms": self.completion.percentile(99.0) * 1e3,
-            "samples": self.execute.count,
+            "samples": self.executes,
         }
 
 

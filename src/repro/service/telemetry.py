@@ -45,6 +45,7 @@ class LatencyHistogram:
         self.min: Optional[float] = None
         self.max: Optional[float] = None
         self.buckets = [0] * (_BUCKET_COUNT + 1)
+        self.reservoir = reservoir
         self._samples: deque[float] = deque(maxlen=reservoir)
 
     def observe(self, seconds: float) -> None:
@@ -266,7 +267,7 @@ class Telemetry:
     def reset(self) -> None:
         """Zero every aggregate (the reservoir included)."""
         with self._lock:
-            reservoir = self.query_latency._samples.maxlen or 8192
+            reservoir = self.query_latency.reservoir
             self.query_latency = LatencyHistogram(reservoir)
             self.batch_latency = LatencyHistogram(reservoir)
             self.by_method.clear()

@@ -629,6 +629,18 @@ _LEGACY_SNAPSHOT_KEYS = {
 }
 
 
+class TestNetStats:
+    def test_reset_keeps_reservoir_size(self):
+        stats = NetStats(reservoir=16)
+        stats.reset()
+        for histogram in (stats.queue_wait, stats.service_time):
+            assert histogram.reservoir == 16
+            for i in range(20):
+                histogram.observe(i / 1000.0)
+            # Only the last 16 samples (4..19 ms) are left to rank.
+            assert histogram.percentile(0) == pytest.approx(0.004)
+
+
 class TestSnapshotShape:
     def test_plain_app_snapshot_keeps_legacy_keys_and_gains_no_net(self, app):
         app.executor.query(0, 5)

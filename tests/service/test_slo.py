@@ -14,8 +14,11 @@ took before this layer existed.
 
 import asyncio
 import json
+import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import OracleConfig
 from repro.core.oracle import VicinityOracle
@@ -32,6 +35,7 @@ from repro.service.slo import (
     parse_ladder,
 )
 from repro.service.supervisor import SupervisorConfig
+from repro.service.telemetry import LatencyHistogram
 
 from tests.conftest import random_connected_graph
 
@@ -160,6 +164,150 @@ class TestPredictor:
         assert deep > flat
         assert deep - flat == pytest.approx(100 * predictor.ewma_item_s)
         assert predictor.execute_tail_s() >= 0.010 * 0.99
+
+    def test_quantile_validation(self):
+        with pytest.raises(ValueError):
+            CompletionPredictor(quantile=101)
+        with pytest.raises(ValueError):
+            CompletionPredictor(reservoir=0)
+
+
+#: Execute times with many exact repeats and zeros, so window evictions
+#: must remove one copy of a duplicated sample, never another value.
+_EXECUTE_TIMES = st.one_of(
+    st.sampled_from([0.0, 0.0005, 0.001, 0.001, 0.004]),
+    st.floats(min_value=0.0, max_value=0.25, allow_nan=False),
+)
+
+
+@st.composite
+def _execute_streams(draw):
+    window = draw(st.integers(min_value=1, max_value=24))
+    samples = draw(
+        st.lists(_EXECUTE_TIMES, min_size=window + 1, max_size=window + 80)
+    )
+    return window, samples
+
+
+class TestPredictorWindow:
+    """The execute tail is read from a sorted window, not a sort per read."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stream=_execute_streams(),
+        quantile=st.sampled_from([50.0, 90.0, 99.0, 100.0]),
+    )
+    def test_tail_is_nearest_rank_over_the_last_window(self, stream, quantile):
+        window, samples = stream
+        predictor = CompletionPredictor(quantile=quantile, reservoir=window)
+        for i, sample in enumerate(samples):
+            predictor.observe_execute(sample, items=1 + i % 3)
+            recent = sorted(samples[max(0, i + 1 - window): i + 1])
+            rank = max(1, math.ceil(quantile / 100.0 * len(recent)))
+            expected = max(predictor.ewma_execute_s, recent[rank - 1])
+            assert predictor.execute_tail_s() == expected
+        assert predictor.snapshot()["samples"] == len(samples)
+
+    def test_admission_matches_a_sorting_reference(self):
+        """A seeded mix of batches and admissions, longer than the window:
+        the sorted window must take exactly the rungs a predictor that
+        sorts its window on every read takes."""
+        clock = FakeClock()
+        fast = SloController(SloConfig(probe_every=8), clock=clock)
+        slow = SloController(SloConfig(probe_every=8), clock=clock)
+        slow.predictor = _SortingPredictor()
+        rng = random.Random(20121206)
+        rungs, expected = [], []
+        for _ in range(6000):
+            if rng.random() < 0.5:
+                elapsed = rng.choice((0.0, 0.002, 0.002, rng.expovariate(200.0)))
+                items = rng.randint(1, 32)
+                fast.observe_execute(elapsed, items)
+                slow.observe_execute(elapsed, items)
+            else:
+                budget = rng.uniform(0.005, 0.060)
+                depth = rng.randint(0, 64)
+                rungs.append(fast.admit(Deadline(budget, clock=clock), depth))
+                expected.append(slow.admit(Deadline(budget, clock=clock), depth))
+            clock.advance(rng.uniform(0.0, 0.002))
+        assert fast.predictor.executes > 2048  # the window wrapped
+        assert rungs == expected
+        assert {"exact", "estimate"} <= set(rungs)
+        assert fast.probes == slow.probes > 0
+
+    def test_hot_paths_never_sort(self, monkeypatch):
+        """Deadline admission and the coalescer's early-flush check read the
+        tail on every request; only snapshots may sort a reservoir."""
+
+        def no_sorting(self, qs):
+            raise AssertionError("percentiles() called on a request hot path")
+
+        clock = FakeClock()
+        ctl = SloController(SloConfig(), clock=clock)
+        for i in range(4096):  # fill (and wrap) the execute window
+            ctl.observe_execute(0.001 + (i % 97) * 1e-5, items=8)
+        reads = []
+        tail = ctl.predictor.execute_tail_s
+
+        def counted_tail():
+            reads.append(1)
+            return tail()
+
+        ctl.predictor.execute_tail_s = counted_tail
+
+        async def offer_all():
+            coalescer = Coalescer(
+                lambda pairs, with_path, budget_s=None: [None] * len(pairs),
+                window_us=1e6, max_batch=4096, soft_limit=4096,
+                slo=ctl, clock=clock,
+            )
+            for i in range(1000):
+                coalescer.offer(i, i + 1, deadline=Deadline(30.0, clock=clock))
+            return coalescer
+
+        loop = asyncio.new_event_loop()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(LatencyHistogram, "percentiles", no_sorting)
+                rungs = {
+                    ctl.admit(Deadline(0.050, clock=clock), depth=i % 16)
+                    for i in range(1000)
+                }
+                coalescer = loop.run_until_complete(offer_all())
+            assert coalescer.depth == 1000
+            loop.run_until_complete(coalescer.close())
+        finally:
+            loop.close()
+        assert rungs == {"exact"}
+        assert len(reads) == 2000
+        assert ctl.snapshot()["predictor"]["samples"] > 4096
+
+
+class _SortingPredictor:
+    """The execute tail as first written: sort the whole window per read."""
+
+    def __init__(self, quantile=99.0, alpha=0.2, reservoir=2048):
+        self.quantile = quantile
+        self.alpha = alpha
+        self.ewma_item_s = 0.0
+        self.ewma_execute_s = 0.0
+        self.window = LatencyHistogram(reservoir)
+
+    def observe_execute(self, elapsed_s, items):
+        elapsed_s = max(0.0, float(elapsed_s))
+        self.window.observe(elapsed_s)
+        share = elapsed_s / items if items else 0.0
+        self.ewma_item_s = self._fold(self.ewma_item_s, share)
+        self.ewma_execute_s = self._fold(self.ewma_execute_s, elapsed_s)
+
+    def _fold(self, ewma, sample):
+        if ewma == 0.0:
+            return sample
+        return (1.0 - self.alpha) * ewma + self.alpha * sample
+
+    def predict_s(self, depth=0):
+        tail = max(self.ewma_execute_s, self.window.percentile(self.quantile))
+        return depth * self.ewma_item_s + tail
 
 
 class TestAIMDLimiter:

@@ -112,6 +112,16 @@ class TestTelemetry:
         assert snap["queries"] == 0
         assert snap["by_method"] == {}
 
+    def test_reset_keeps_reservoir_size(self):
+        telemetry = Telemetry(reservoir=16)
+        telemetry.reset()
+        for histogram in (telemetry.query_latency, telemetry.batch_latency):
+            assert histogram.reservoir == 16
+            for i in range(20):
+                histogram.observe(i / 1000.0)
+            # Only the last 16 samples (4..19 ms) are left to rank.
+            assert histogram.percentile(0) == pytest.approx(0.004)
+
     def test_engine_and_backend_labels(self):
         """Snapshots are self-describing: engine + backend ride along."""
         telemetry = Telemetry(engine="flat", backend="procpool")
