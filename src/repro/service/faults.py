@@ -33,9 +33,8 @@ worker comes back clean, so "kill once" scenarios converge.  Set
 ``every_generation=True`` for sustained churn (the worker re-kills
 itself after every restart), which is what ``bench_chaos.py`` drives.
 
-Plans thread through both procpool transport planes identically: the
-spec rides in the worker ``meta`` dict, and the injector wraps the
-frame loop in ``_worker_main`` — transport-agnostic by construction.
+Plans ship to the workers inside the ``meta`` dict, and the injector
+wraps the frame loop in ``_worker_main``, below the transport.
 ``repro-paths serve --inject-faults <plan>`` accepts the same specs
 for manual drills (a JSON object, or the named presets of
 :meth:`FaultPlan.parse`).

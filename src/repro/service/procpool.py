@@ -16,20 +16,9 @@ promotes the same scheme to worker *processes*:
 * request/response traffic is **frames, not pickles**: the coordinator
   ships each sub-batch as one fixed-dtype
   :class:`~repro.service.wire.RequestFrame` and gets the result columns
-  back as one :class:`~repro.service.wire.ResponseFrame`, over either
-  transport plane:
-
-  - ``pipe`` — one ``send_bytes``/``recv_bytes`` of the encoded frame
-    per sub-batch over a ``multiprocessing.Pipe``;
-  - ``ring`` (default) — a shared-memory result ring pair per worker
-    (:class:`~repro.io.shm.RingBuffer`), so frame payloads move through
-    one mapped segment with a sequence-number handshake and **no
-    serialisation machinery at all** — no pickle, no payload copy
-    through the kernel; availability is signalled by a one-byte
-    doorbell pipe per direction, giving the waiter an event-driven
-    wakeup instead of a polling loop (which matters whenever the
-    coordinator and the workers share cores);
-
+  back as one :class:`~repro.service.wire.ResponseFrame`, each a
+  length-prefixed byte string over a per-worker ``multiprocessing.Pipe``
+  (:class:`PipeFrameTransport`);
 * the wire *accounting* still models the per-query exchanges §5
   prescribes: workers return each round trip's payload byte count
   inside the response frame and the coordinator records them in the
@@ -45,32 +34,30 @@ promotes the same scheme to worker *processes*:
 With the worker cache off (the default), results are identical to the
 thread backend — distance, method, witness, probes, path, and
 MessageLog totals — which the transport parity suite pins across both
-backends and all transport planes from the same saved index.
+backends from the same saved index.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import select
+import socket
+import struct
 import time
-from multiprocessing import shared_memory
 from typing import Optional
 
 from repro.core.flat import FlatIndex
 from repro.exceptions import (
-    QueryError,
     SerializationError,
     WorkerDied,
     WorkerFault,
     WorkerTimeout,
 )
-from repro.io.shm import RingBuffer, RingDead, SharedArrayBundle, _attach_untracked
+from repro.io.shm import SharedArrayBundle
 from repro.service.faults import FaultPlan
 from repro.service.shardbase import FlatShardedBase, FrameStreamTransport
 from repro.service.wire import RequestFrame, ResponseFrame
-
-#: Default byte capacity of each request/response ring.
-DEFAULT_RING_CAPACITY = 1 << 20
 
 
 def _pin_to_core(core: Optional[int]) -> None:
@@ -83,79 +70,8 @@ def _pin_to_core(core: Optional[int]) -> None:
         pass
 
 
-class _PipeEndpoint:
-    """Worker side of the pipe transport: length-delimited frame bytes."""
-
-    def __init__(self, conn) -> None:
-        self._conn = conn
-
-    def recv(self) -> bytes:
-        return self._conn.recv_bytes()
-
-    def send(self, buf: bytes) -> None:
-        self._conn.send_bytes(buf)
-
-    def close(self) -> None:
-        self._conn.close()
-
-
-class _RingEndpoint:
-    """Worker side of the ring transport: attach the segment, pop/push.
-
-    Frame payloads move through the shared-memory rings; the doorbell
-    connections carry exactly one signal byte per frame, so the waiting
-    side blocks in the kernel (an event-driven wakeup, like a pipe
-    read) instead of burning its single-core timeslice polling the
-    ring head — and a dead peer surfaces as EOF instead of a timeout.
-    """
-
-    def __init__(self, spec: dict) -> None:
-        self._shm = _attach_untracked(spec["segment"])
-        parent = multiprocessing.parent_process()
-        alive = parent.is_alive if parent is not None else None
-        capacity = spec["capacity"]
-        offset = spec["offset"]
-        self._req_signal = spec["req_signal"]
-        self._resp_signal = spec["resp_signal"]
-        self._requests = RingBuffer(
-            self._shm.buf, offset, capacity, peer_alive=alive
-        )
-        self._responses = RingBuffer(
-            self._shm.buf,
-            offset + RingBuffer.region_bytes(capacity),
-            capacity,
-            peer_alive=alive,
-        )
-
-    def recv(self) -> bytes:
-        try:
-            self._req_signal.recv_bytes()
-        except (EOFError, OSError):
-            raise RingDead("coordinator is gone") from None
-        return self._requests.pop()
-
-    def send(self, buf: bytes) -> None:
-        self._responses.push(buf)
-        try:
-            self._resp_signal.send_bytes(b"x")
-        except (BrokenPipeError, OSError):
-            raise RingDead("coordinator is gone") from None
-
-    def close(self) -> None:
-        self._requests = self._responses = None
-        for conn in (self._req_signal, self._resp_signal):
-            try:
-                conn.close()
-            except OSError:
-                pass
-        try:
-            self._shm.close()
-        except BufferError:
-            pass
-
-
 def _worker_main(
-    endpoint_spec, spec: dict, meta: dict, pin_core=None,
+    conn, spec: dict, meta: dict, pin_core=None,
     worker_id: int = 0, generation: int = 0,
 ) -> None:
     """Worker process entry: attach the shared index, serve frames.
@@ -163,9 +79,10 @@ def _worker_main(
     ``spec`` addresses either index-sharing substrate: a shared-memory
     segment (the copy path) or the store file itself (the mmap path,
     where this worker maps the file read-only and computes its own
-    shard assignment — both are cheaper than shipping them).
-    ``endpoint_spec`` is a pipe connection or a ring descriptor dict.
-    An empty frame is the shutdown sentinel.  ``generation`` counts
+    shard assignment — both are cheaper than shipping them).  ``conn``
+    is the worker's end of its pipe.  An empty frame is the shutdown
+    sentinel, and a vanished coordinator (EOF on recv, a broken pipe
+    on send) ends the loop quietly too.  ``generation`` counts
     restarts of this worker slot: a respawned worker re-attaches the
     same substrate and, under fault injection, lets once-only rules
     expire (:mod:`repro.service.faults`).
@@ -214,15 +131,10 @@ def _worker_main(
         if meta["worker_cache_size"] > 0
         else None
     )
-    endpoint = (
-        _RingEndpoint(endpoint_spec)
-        if isinstance(endpoint_spec, dict)
-        else _PipeEndpoint(endpoint_spec)
-    )
     try:
         frames = 0
         while True:
-            buf = endpoint.recv()
+            buf = conn.recv_bytes()
             if not buf:
                 break
             frames += 1
@@ -234,359 +146,185 @@ def _worker_main(
             payload = resp.to_bytes()
             if injector is not None:
                 for wire_payload in injector.outgoing(payload, frames):
-                    endpoint.send(wire_payload)
+                    conn.send_bytes(wire_payload)
             else:
-                endpoint.send(payload)
-    except (EOFError, KeyboardInterrupt, RingDead):
+                conn.send_bytes(payload)
+    except (EOFError, BrokenPipeError, ConnectionResetError, KeyboardInterrupt):
         pass
     finally:
         del engine, flat
         bundle.close()
-        endpoint.close()
+        conn.close()
 
 
-#: Deadline waits re-check worker liveness this often.  With the
+#: Every transport wait re-checks worker liveness this often.  With the
 #: ``fork`` start method, sibling workers inherit each other's pipe
-#: write ends, so a SIGKILLed worker's channel may never reach EOF —
-#: the process handle, not the fd, is the truth about liveness.
+#: ends, so a SIGKILLed worker's channel may never reach EOF — the
+#: process handle, not the fd, is the truth about liveness.
 LIVENESS_SLICE_S = 0.05
 
+#: How long :meth:`PipeFrameTransport.shutdown_worker` may wait to hand
+#: a wedged worker its shutdown sentinel before leaving it to the
+#: caller's join/terminate.
+SHUTDOWN_SEND_S = 0.5
 
-def _wait_readable(conn, alive, worker: int, timeout: Optional[float]) -> bool:
-    """Wait for ``conn`` to become readable, watching worker liveness.
 
-    Returns ``True`` when a payload is ready and ``False`` when the
-    deadline expired; raises :class:`WorkerDied` as soon as the worker
-    is observed dead with nothing left buffered — a recv on a dead
-    worker fails in ~:data:`LIVENESS_SLICE_S` instead of burning the
-    whole deadline (or, with no deadline, hanging forever).
+#: The 4-byte big-endian length header ``Connection.recv_bytes`` reads
+#: before each payload (request frames stay far below its 2 GiB limit).
+_HEADER = struct.Struct("!i")
+
+
+class PipeFrameTransport(FrameStreamTransport):
+    """One length-prefixed encoded frame per write over per-worker pipes.
+
+    Each worker owns one duplex ``multiprocessing.Pipe`` (a Unix socket
+    pair).  The worker blocks in ``recv_bytes``/``send_bytes``; the
+    coordinator never blocks on a full pipe.  ``query_batch`` sends
+    every sub-batch frame before it reads any reply, so a worker can
+    fill its response pipe and stop reading requests while the
+    coordinator is still sending.  ``send`` therefore writes with
+    ``MSG_DONTWAIT`` and, while the write would block, parks that
+    worker's ready response frames in the pending buffer — the same
+    frames :meth:`recv` would read next — until the request fits.
+    Every wait re-checks worker liveness and the deadline each
+    :data:`LIVENESS_SLICE_S`.
+
+    A send or recv that times out mid-frame leaves the lane out of
+    step; the supervisor kills and restarts the worker, which reopens
+    the lane from a clean slate (:meth:`reset_worker`).
     """
-    deadline = None if timeout is None else time.monotonic() + timeout
-    while True:
-        slice_s = LIVENESS_SLICE_S
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return False
-            slice_s = min(slice_s, remaining)
-        try:
-            if conn.poll(slice_s):
-                return True
-        except (EOFError, OSError):
-            raise WorkerDied(worker) from None
-        if not alive():
-            # The worker may have answered and then died: drain wins.
-            try:
-                if conn.poll(0):
-                    return True
-            except (EOFError, OSError):
-                pass
-            raise WorkerDied(worker) from None
-
-
-class _ProcessFrameTransport(FrameStreamTransport):
-    """Frame stream to worker *processes*: adds liveness bookkeeping."""
-
-    def __init__(self, num_workers: int) -> None:
-        super().__init__(num_workers)
-        self._procs: list = []
-
-    def bind_procs(self, procs: list) -> None:
-        """Point liveness checks at the spawned worker processes."""
-        self._procs = procs
-
-    def _alive_check(self, worker: int):
-        def alive() -> bool:
-            procs = self._procs
-            if worker >= len(procs):
-                return True  # still starting up
-            return procs[worker].is_alive()
-
-        return alive
-
-
-class PipeFrameTransport(_ProcessFrameTransport):
-    """One encoded frame per ``send_bytes`` over per-worker pipes."""
 
     name = "pipe"
 
-    def __init__(self, conns) -> None:
-        super().__init__(len(conns))
-        self._conns = conns
+    def __init__(self, num_workers: int, procs: list) -> None:
+        super().__init__(num_workers)
+        self._procs = procs
+        self._conns: list = [None] * num_workers
+        self._socks: list = [None] * num_workers
 
-    def send(
-        self, worker: int, frame: RequestFrame, *, timeout: Optional[float] = None
-    ) -> None:
-        # Pipe writes of frame-sized payloads don't meaningfully block;
-        # the deadline is enforced on the recv side.
-        try:
-            self._conns[worker].send_bytes(frame.to_bytes())
-        except (BrokenPipeError, OSError):
-            raise WorkerDied(worker) from None
-        self.note_sent(worker, frame.seq)
+    def _alive(self, worker: int) -> bool:
+        if worker >= len(self._procs):
+            return True  # still starting up
+        return self._procs[worker].is_alive()
 
-    def _recv_raw(
-        self, worker: int, timeout: Optional[float] = None
-    ) -> ResponseFrame:
-        conn = self._conns[worker]
-        if not _wait_readable(conn, self._alive_check(worker), worker, timeout):
-            raise WorkerTimeout(worker, timeout)
+    def _wait(self, worker: int, events: int, deadline) -> bool:
+        """Wait for the worker's pipe to report one of the poll ``events``.
+
+        Returns ``True`` when it does and ``False`` once the monotonic
+        ``deadline`` (``None`` = never) passes; raises
+        :class:`WorkerDied` as soon as the worker is observed dead with
+        nothing left to read — a wait on a dead worker fails in
+        ~:data:`LIVENESS_SLICE_S` instead of burning the whole deadline
+        (or, with no deadline, hanging forever).
+        """
+        poller = select.poll()
         try:
-            buf = conn.recv_bytes()
-        except (EOFError, OSError):
+            poller.register(self._conns[worker], events)
+        except (OSError, ValueError):  # the lane was closed under us
             raise WorkerDied(worker) from None
-        try:
-            return ResponseFrame.from_bytes(buf)
-        except SerializationError as exc:
-            raise WorkerFault(worker, f"sent an undecodable frame: {exc}") from None
+        while True:
+            slice_s = LIVENESS_SLICE_S
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return False
+                slice_s = min(slice_s, remaining)
+            if poller.poll(slice_s * 1000.0):
+                return True
+            if not self._alive(worker):
+                # The worker may have answered and then died: drain wins.
+                if poller.poll(0):
+                    return True
+                raise WorkerDied(worker)
 
     def reset_worker(self, worker: int):
-        """Replace a dead worker's pipe; returns the fresh child end.
+        """(Re)open a worker's pipe; returns the worker's end.
 
-        The caller hands the child end to the respawned worker process
-        (and closes its own copy after the spawn, as at startup).
+        Anything still in flight on the old pipe is abandoned with it.
+        The caller hands the returned end to the (re)spawned worker
+        process and closes its own copy after the spawn.
         """
-        try:
-            self._conns[worker].close()
-        except OSError:
-            pass
+        self._close_lane(worker)
         parent_conn, child_conn = multiprocessing.Pipe()
         self._conns[worker] = parent_conn
+        # A socket view of the same pipe, for per-call MSG_DONTWAIT
+        # writes; the descriptor's blocking mode stays untouched.
+        self._socks[worker] = socket.fromfd(
+            parent_conn.fileno(), socket.AF_UNIX, socket.SOCK_STREAM
+        )
         self.clear_pending(worker)
         return child_conn
 
-    def shutdown_worker(self, worker: int) -> None:
-        try:
-            self._conns[worker].send_bytes(b"")
-        except (BrokenPipeError, OSError):
-            pass
-
-    def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-
-class RingFrameTransport(_ProcessFrameTransport):
-    """Per-worker SPSC ring pairs over one shared-memory segment.
-
-    Each worker owns ``2 * (header + capacity)`` bytes of the segment:
-    a request ring the coordinator pushes into and a response ring the
-    worker pushes into.  Frames stream through in place — the only
-    per-frame work on either side is the encode/decode the other
-    transports also pay.  Availability travels out of band: every push
-    is followed by one byte down a per-direction doorbell pipe, so the
-    waiting side blocks in the kernel and is woken by the scheduler
-    the instant the frame lands, instead of spin-polling the ring head
-    (which loses badly when coordinator and workers share cores).  The
-    coordinator's ``send`` drains ready responses into the pending
-    buffer whenever a request ring stalls, so a worker blocked
-    publishing results can never deadlock the coordinator.
-    """
-
-    name = "ring"
-
-    def __init__(
-        self, num_workers: int, *, capacity: int = DEFAULT_RING_CAPACITY
-    ) -> None:
-        super().__init__(num_workers)
-        self.capacity = int(capacity)
-        unit = 2 * RingBuffer.region_bytes(self.capacity)
-        self._unit = unit
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=num_workers * unit
-        )
-        self._requests = []
-        self._responses = []
-        # Doorbells: request-signal write ends + response-signal read
-        # ends stay here; the opposite ends travel in the worker spec.
-        self._signal_send = []
-        self._signal_recv = []
-        self._child_req = []
-        self._child_resp = []
-        for worker in range(num_workers):
-            req_r, req_w = multiprocessing.Pipe(duplex=False)
-            resp_r, resp_w = multiprocessing.Pipe(duplex=False)
-            self._signal_send.append(req_w)
-            self._signal_recv.append(resp_r)
-            self._child_req.append(req_r)
-            self._child_resp.append(resp_w)
-            offset = worker * unit
-            alive = self._alive_check(worker)
-            requests = RingBuffer(
-                self._shm.buf, offset, self.capacity, peer_alive=alive
-            )
-            responses = RingBuffer(
-                self._shm.buf,
-                offset + RingBuffer.region_bytes(self.capacity),
-                self.capacity,
-                peer_alive=alive,
-            )
-            requests.reset()
-            responses.reset()
-            self._requests.append(requests)
-            self._responses.append(responses)
-
-    def worker_spec(self, worker: int) -> dict:
-        """The ring descriptor a worker attaches from.
-
-        Picklable through ``multiprocessing`` spawn args: the doorbell
-        ends are ``Connection`` objects, which the spawn machinery
-        duplicates into the child.
-        """
-        return {
-            "segment": self._shm.name,
-            "offset": worker * self._unit,
-            "capacity": self.capacity,
-            "req_signal": self._child_req[worker],
-            "resp_signal": self._child_resp[worker],
-        }
-
-    def release_worker_ends(self, worker: int) -> None:
-        """Drop the parent's copies of a spawned worker's doorbell ends.
-
-        Without this the parent keeps the child's write end open and a
-        dead worker never surfaces as EOF on the response doorbell.
-        """
-        self._child_req[worker].close()
-        self._child_resp[worker].close()
-
     def send(
         self, worker: int, frame: RequestFrame, *, timeout: Optional[float] = None
     ) -> None:
-        try:
-            self._requests[worker].push(
-                frame.to_bytes(),
-                timeout=timeout,
-                on_stall=lambda: self._absorb(worker),
-            )
-            self._signal_send[worker].send_bytes(b"x")
-        except TimeoutError:
-            raise WorkerTimeout(worker, timeout) from None
-        except (RingDead, BrokenPipeError, OSError):
-            raise WorkerDied(worker) from None
+        payload = frame.to_bytes()
+        self._write(worker, _HEADER.pack(len(payload)) + payload, timeout)
         self.note_sent(worker, frame.seq)
 
-    def _absorb(self, worker: int) -> None:
-        """Park ready responses while a request ring is full."""
-        ring = self._responses[worker]
-        pending = self._pending[worker]
-        while ring.poll():
+    def _write(self, worker: int, data: bytes, timeout: Optional[float]) -> None:
+        """Write ``data`` whole; absorb responses while the pipe is full."""
+        sock = self._socks[worker]
+        view = memoryview(data)
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
             try:
-                frame = ResponseFrame.from_bytes(ring.pop(timeout=1.0))
-            except SerializationError as exc:
-                raise WorkerFault(
-                    worker, f"sent an undecodable frame: {exc}"
-                ) from None
-            pending[frame.seq] = frame
+                view = view[sock.send(view, socket.MSG_DONTWAIT):]
+            except BlockingIOError:
+                pass
+            except OSError:
+                raise WorkerDied(worker) from None
+            if not view:
+                return
+            self._absorb(worker)
+            if not self._wait(worker, select.POLLIN | select.POLLOUT, deadline):
+                raise WorkerTimeout(worker, timeout)
+
+    def _absorb(self, worker: int) -> None:
+        """Park a stalled worker's ready responses (stale ones drop)."""
+        conn = self._conns[worker]
+        expected = self._expected[worker]
+        while conn.poll(0):
+            frame = self._read(worker)
+            if frame.seq in expected:
+                self._pending[worker][frame.seq] = frame
 
     def _recv_raw(
         self, worker: int, timeout: Optional[float] = None
     ) -> ResponseFrame:
-        # One doorbell byte per response frame.  ``_absorb`` pops frames
-        # without consuming their bytes, so a byte may refer to a frame
-        # already parked in pending — the subsequent ``pop`` then waits
-        # for the next real push, which is exactly the frame this call
-        # is after.
-        conn = self._signal_recv[worker]
-        if not _wait_readable(conn, self._alive_check(worker), worker, timeout):
+        deadline = None if timeout is None else time.monotonic() + timeout
+        if not self._wait(worker, select.POLLIN, deadline):
             raise WorkerTimeout(worker, timeout)
+        return self._read(worker)
+
+    def _read(self, worker: int) -> ResponseFrame:
         try:
-            conn.recv_bytes()
+            buf = self._conns[worker].recv_bytes()
         except (EOFError, OSError):
-            raise WorkerDied(worker) from None
-        try:
-            buf = self._responses[worker].pop(timeout=timeout)
-        except TimeoutError:
-            raise WorkerTimeout(worker, timeout) from None
-        except RingDead:
             raise WorkerDied(worker) from None
         try:
             return ResponseFrame.from_bytes(buf)
         except SerializationError as exc:
             raise WorkerFault(worker, f"sent an undecodable frame: {exc}") from None
 
-    def reset_worker(self, worker: int) -> dict:
-        """Re-arm a dead worker's rings and doorbells for a respawn.
-
-        The rings live in the coordinator-owned segment, so a restart
-        just zeroes their counters in place (any half-written frame the
-        dead worker left behind is abandoned with them) and replaces
-        the four doorbell connection ends.  Returns the fresh worker
-        spec for the respawned process.
-        """
-        for conn in (
-            self._signal_send[worker],
-            self._signal_recv[worker],
-            self._child_req[worker],
-            self._child_resp[worker],
-        ):
-            try:
-                conn.close()
-            except OSError:
-                pass
-        req_r, req_w = multiprocessing.Pipe(duplex=False)
-        resp_r, resp_w = multiprocessing.Pipe(duplex=False)
-        self._signal_send[worker] = req_w
-        self._signal_recv[worker] = resp_r
-        self._child_req[worker] = req_r
-        self._child_resp[worker] = resp_w
-        self._requests[worker].reset()
-        self._responses[worker].reset()
-        self.clear_pending(worker)
-        return self.worker_spec(worker)
-
     def shutdown_worker(self, worker: int) -> None:
-        ring = self._responses[worker]
+        """Hand the worker the empty shutdown frame, if it will take it."""
         try:
-            self._requests[worker].push(
-                b"",
-                timeout=0.5,
-                on_stall=lambda: ring.drain(timeout=0.01),
-            )
-            self._signal_send[worker].send_bytes(b"x")
-        except (TimeoutError, RingDead, BrokenPipeError, OSError):
+            self._write(worker, _HEADER.pack(0), SHUTDOWN_SEND_S)
+        except WorkerFault:
             pass
 
-    def stats(self) -> dict:
-        return {
-            "ring_capacity": self.capacity,
-            "ring_occupancy": [
-                {
-                    "requests": int(req._head[0]) - int(req._tail[0]),
-                    "responses": int(resp._head[0]) - int(resp._tail[0]),
-                }
-                for req, resp in zip(self._requests, self._responses)
-            ],
-        }
+    def _close_lane(self, worker: int) -> None:
+        for end in (self._socks[worker], self._conns[worker]):
+            if end is not None:
+                try:
+                    end.close()
+                except OSError:
+                    pass
 
     def close(self) -> None:
-        # Abandon whatever the rings still hold (a dead worker may have
-        # left a frame mid-handshake); then drop the views and unlink.
-        for ring in self._responses:
-            ring.drain(timeout=0.02)
-        self._requests = []
-        self._responses = []
-        for conn in (
-            *self._signal_send,
-            *self._signal_recv,
-            *self._child_req,
-            *self._child_resp,
-        ):
-            try:
-                conn.close()
-            except OSError:
-                pass
-        try:
-            self._shm.close()
-        except BufferError:
-            pass
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:
-            pass
+        for worker in range(len(self._conns)):
+            self._close_lane(worker)
 
 
 class ProcessShardedService(FlatShardedBase):
@@ -621,15 +359,12 @@ class ProcessShardedService(FlatShardedBase):
             memory mapping (``from_saved(..., mmap=True)`` sets this).
             No shared-memory segment is created for the index and
             nothing is copied at startup.
-        transport: ``"ring"`` (default — shared-memory result rings) or
-            ``"pipe"`` (frame pipes).
         sub_batch: request-frame chunk size (0 = one frame per shard
             per batch).
         replicas: worker processes per shard; sub-batches go to the
             replica with the least outstanding pairs.
         pin_workers: pin each worker to one core (round-robin over the
             coordinator's affinity mask; no-op where unsupported).
-        ring_capacity: per-direction ring bytes (ring transport only).
         kernels: kernel tier (``"numpy"``/``"native"``/``None`` = auto);
             the resolved tier is shipped to every worker process.
         supervise: enable worker supervision — per-sub-batch deadlines,
@@ -658,21 +393,14 @@ class ProcessShardedService(FlatShardedBase):
         worker_cache_size: int = 0,
         flat: Optional[FlatIndex] = None,
         mmap_path: Optional[str] = None,
-        transport: str = "ring",
         sub_batch: int = 0,
         replicas: int = 1,
         pin_workers: bool = False,
-        ring_capacity: int = DEFAULT_RING_CAPACITY,
         kernels: Optional[str] = None,
         supervise=None,
         recv_deadline_s: Optional[float] = None,
         faults=None,
     ) -> None:
-        if transport not in ("pipe", "ring"):
-            raise QueryError(
-                f"unknown transport plane {transport!r}: "
-                f"the process backend offers 'pipe' and 'ring'"
-            )
         super().__init__(
             index,
             num_shards,
@@ -718,47 +446,18 @@ class ProcessShardedService(FlatShardedBase):
         self._context = context
         self._spec = spec
         self._procs: list = []
-        self._conns: list = []
         self._generation = [0] * num_workers
-        pin_cores = (
+        self._pin_cores = (
             self._pin_plan(num_workers)
             if self.pin_workers
             else [None] * num_workers
         )
-        self._pin_cores = pin_cores
+        # The transport's liveness checks read this very list, so they
+        # track a restarted worker the moment its slot is overwritten.
+        self._transport = PipeFrameTransport(num_workers, self._procs)
         try:
-            if transport == "ring":
-                self._transport = RingFrameTransport(
-                    num_workers, capacity=ring_capacity
-                )
-                self._transport.bind_procs(self._procs)
-                endpoints = [
-                    self._transport.worker_spec(w) for w in range(num_workers)
-                ]
-            else:
-                endpoints = []
-                for _ in range(num_workers):
-                    parent_conn, child_conn = context.Pipe()
-                    self._conns.append(parent_conn)
-                    endpoints.append(child_conn)
-                self._transport = PipeFrameTransport(self._conns)
-                self._transport.bind_procs(self._procs)
             for worker in range(num_workers):
-                proc = context.Process(
-                    target=_worker_main,
-                    args=(
-                        endpoints[worker], spec, self._flat_meta,
-                        pin_cores[worker], worker, 0,
-                    ),
-                    name=f"repro-procshard-{worker}",
-                    daemon=True,
-                )
-                proc.start()
-                if transport == "pipe":
-                    endpoints[worker].close()
-                else:
-                    self._transport.release_worker_ends(worker)
-                self._procs.append(proc)
+                self._start_worker(worker)
         except Exception:
             self.close()
             raise
@@ -817,26 +516,29 @@ class ProcessShardedService(FlatShardedBase):
     def restart_worker(self, worker: int) -> bool:
         self.kill_worker(worker)
         self._generation[worker] += 1
-        endpoint = self._transport.reset_worker(worker)
+        self._start_worker(worker)
+        return True
+
+    def _start_worker(self, worker: int) -> None:
+        """Spawn a worker on a fresh pipe into its slot of ``_procs``."""
+        child_conn = self._transport.reset_worker(worker)
         proc = self._context.Process(
             target=_worker_main,
             args=(
-                endpoint, self._spec, self._flat_meta,
+                child_conn, self._spec, self._flat_meta,
                 self._pin_cores[worker], worker, self._generation[worker],
             ),
             name=f"repro-procshard-{worker}",
             daemon=True,
         )
-        proc.start()
-        # Replace in place: the ring transport's liveness closures hold
-        # a reference to this list, so they start tracking the new
-        # process the moment the slot is overwritten.
-        self._procs[worker] = proc
-        if self._transport.name == "ring":
-            self._transport.release_worker_ends(worker)
+        try:
+            proc.start()
+        finally:
+            child_conn.close()  # the worker holds its own copy now
+        if worker < len(self._procs):
+            self._procs[worker] = proc
         else:
-            endpoint.close()
-        return True
+            self._procs.append(proc)
 
     # ------------------------------------------------------------------
     # worker-cache telemetry

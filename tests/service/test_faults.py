@@ -14,8 +14,7 @@ the process backend with deterministic fault plans
 * a wedged worker can never hang the coordinator past the configured
   deadline — it surfaces as a typed :class:`WorkerTimeout`;
 * a worker killed *mid-frame* (request consumed, no response ever
-  produced) recovers on both transport planes, with and without
-  ``with_path`` payloads.
+  produced) recovers, with and without ``with_path`` payloads.
 
 ``fork`` is used throughout for startup speed; the plans are
 frame-indexed, so every scenario reproduces exactly.
@@ -114,18 +113,14 @@ class TestFailover:
         assert stats["workers"][0]["restarts"] >= 1
         assert all(b["state"] == "closed" for b in stats["breakers"])
 
-    @pytest.mark.parametrize("plane", ["ring", "pipe"])
     @pytest.mark.parametrize("kill_at", [1, 2])
-    def test_kill_mid_with_path_frame_both_planes(
-        self, index, pairs, expected, plane, kill_at
-    ):
+    def test_kill_mid_with_path_frame(self, index, pairs, expected, kill_at):
         # kill_at=1: dies on its very first frame (mid-frame, nothing
         # ever answered); kill_at=2: answers one frame, dies between
         # sub-batches.  Path payloads make the response frames fat
-        # enough to exercise the ring reset path.
+        # enough to exercise the pipe reset path.
         with chaos_service(
             index,
-            transport=plane,
             replicas=2,
             supervise=True,
             faults={1: {"kill_after_frames": kill_at}},

@@ -6,12 +6,15 @@ behaviour: the same saved index and query set must produce equal
 ``MessageLog`` round-trip/byte totals on both backends.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.config import OracleConfig
 from repro.core.oracle import VicinityOracle
-from repro.exceptions import NodeNotFoundError, QueryError
+from repro.exceptions import NodeNotFoundError, QueryError, WorkerTimeout
 from repro.io.oracle_store import save_index
 from repro.service import (
     BatchExecutor,
@@ -161,16 +164,13 @@ class TestEdgeCases:
         with pytest.raises(QueryError):
             ProcessShardedService(None, 2)
 
-    @pytest.mark.parametrize("transport", ["pipe", "ring"])
-    def test_stale_replies_do_not_misalign_later_batches(
-        self, index, pairs, transport
-    ):
+    def test_stale_replies_do_not_misalign_later_batches(self, index, pairs):
         """Regression: a worker frame from an aborted exchange must not
         be mistaken for a later batch's answer."""
         from repro.service.wire import RequestFrame
 
         sample = pairs[:40]
-        with ProcessShardedService(index, 2, transport=transport) as service:
+        with ProcessShardedService(index, 2) as service:
             expected = service.query_batch(sample)
             # Inject a foreign exchange: the worker answers this frame
             # with a stale sequence number no batch will ever collect.
@@ -179,6 +179,124 @@ class TestEdgeCases:
             assert service.query_batch(sample, with_path=True) == service.query_batch(
                 sample, with_path=True
             )
+
+    def test_orphaned_worker_exits_quietly(self, index):
+        """A worker whose coordinator end of the pipe is gone sees EOF
+        and exits cleanly instead of dying on a traceback."""
+        with ProcessShardedService(index, 1) as service:
+            service.query_batch([(0, 1)])
+            service._transport._close_lane(0)
+            worker = service._procs[0]
+            worker.join(timeout=10)
+            assert worker.exitcode == 0
+
+    def test_worker_orphaned_mid_reply_exits_quietly(self, index):
+        """A worker that finishes a frame after its coordinator went
+        away hits a broken pipe on send and still exits cleanly."""
+        from repro.service.wire import RequestFrame
+
+        with ProcessShardedService(
+            index, 1, faults={0: {"stall_at_frame": 2, "stall_s": 1.0}}
+        ) as service:
+            service.query_batch([(0, 1)])  # frame 1: the worker is up
+            service._transport.send(0, RequestFrame(10**6, [(0, 1)], False))
+            service._transport._close_lane(0)  # gone while it stalls
+            worker = service._procs[0]
+            worker.join(timeout=15)
+            assert worker.exitcode == 0
+
+
+def _bounded(call, timeout_s):
+    """Run ``call`` in a daemon thread for at most ``timeout_s`` seconds.
+
+    Returns ``(finished, outcome)`` where ``outcome`` holds ``"result"``
+    or ``"error"``; a hung call leaves ``finished`` false instead of
+    hanging the suite.
+    """
+    outcome = {}
+
+    def target():
+        try:
+            outcome["result"] = call()
+        except Exception as exc:  # reported to the test thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout_s)
+    return not thread.is_alive(), outcome
+
+
+@pytest.fixture(scope="module")
+def many_pairs(index):
+    rng = np.random.default_rng(21)
+    return [tuple(int(x) for x in rng.integers(0, index.n, 2)) for _ in range(2000)]
+
+
+class TestSendBackpressure:
+    """The coordinator sends every sub-batch frame before it reads any
+    reply, so a worker whose replies go unread stops reading requests.
+    A send that blocks on a full pipe must park the worker's ready
+    replies (or give up at the deadline) instead of waiting forever."""
+
+    def test_one_pair_frames_do_not_deadlock(self, index, many_pairs):
+        with ProcessShardedService(index, 1) as whole:
+            expected = whole.query_batch(many_pairs, with_path=True)
+        service = ProcessShardedService(index, 1, sub_batch=1)
+        try:
+            finished, outcome = _bounded(
+                lambda: service.query_batch(many_pairs, with_path=True), 60.0
+            )
+            if not finished:
+                service.kill_worker(0)  # unblocks the stuck send
+            assert finished, "2,000 one-pair frames deadlocked the send"
+            assert "error" not in outcome, outcome.get("error")
+            assert outcome["result"] == expected
+        finally:
+            service.close()
+
+    def test_two_shards_of_one_pair_frames_do_not_deadlock(
+        self, index, many_pairs
+    ):
+        # A coalesced flush through two shards puts ~1,000 one-pair
+        # frames (no paths) on each worker before any reply is read.
+        with ProcessShardedService(index, 2) as whole:
+            expected = whole.query_batch(many_pairs)
+        service = ProcessShardedService(index, 2, sub_batch=1)
+        try:
+            finished, outcome = _bounded(
+                lambda: service.query_batch(many_pairs), 60.0
+            )
+            if not finished:
+                for worker in range(2):
+                    service.kill_worker(worker)
+            assert finished, "one-pair frames on two shards deadlocked"
+            assert "error" not in outcome, outcome.get("error")
+            assert outcome["result"] == expected
+        finally:
+            service.close()
+
+    def test_send_to_a_stalled_worker_times_out(self, index, many_pairs):
+        service = ProcessShardedService(
+            index,
+            1,
+            sub_batch=1,
+            recv_deadline_s=1.0,
+            faults={0: {"stall_at_frame": 1, "stall_s": 60}},
+        )
+        try:
+            started = time.monotonic()
+            finished, outcome = _bounded(
+                lambda: service.query_batch(many_pairs, with_path=True), 20.0
+            )
+            elapsed = time.monotonic() - started
+            assert finished, "send to a stalled worker ignored its deadline"
+            assert isinstance(outcome.get("error"), WorkerTimeout)
+            assert isinstance(outcome["error"], QueryError)
+            assert elapsed < 10.0
+        finally:
+            service.kill_worker(0)  # it would sleep out its 60 s stall
+            service.close()
 
 
 class TestComposition:

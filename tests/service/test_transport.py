@@ -1,24 +1,23 @@
-"""Transport-plane parity and plumbing: inline vs pipe-frame vs ring.
+"""Transport parity and plumbing: inline frames vs pipe frames.
 
 The refactor invariant pinned here: the *same* saved-index semantics —
 results (distance, method, witness, probes, path) and MessageLog
 wire-byte accounting — must be byte-identical no matter which transport
 moved the frames, including under sub-batch chunking and replica
 routing.  Plus the failure-mode contracts: stale frames are discarded,
-dead workers surface as ``QueryError`` (never a hang), and a ring left
-mid-handshake by a dead producer must not hang ``drain()``.
+dead workers surface as ``QueryError`` (never a hang), and a send into a
+full pipe parks the worker's ready replies instead of blocking.
 """
 
-import struct
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.config import OracleConfig
 from repro.core.oracle import QueryResult, VicinityOracle
-from repro.exceptions import QueryError
-from repro.io.shm import RingBuffer
+from repro.exceptions import QueryError, WorkerDied, WorkerTimeout
 from repro.service import (
     ProcessShardedService,
     ReplicaRouter,
@@ -27,6 +26,7 @@ from repro.service import (
     ShardedService,
     create_shard_backend,
 )
+from repro.service.procpool import PipeFrameTransport
 
 from tests.conftest import random_connected_graph
 
@@ -36,9 +36,8 @@ SHARDS = 3
 CONFIGS = [
     ("threads", {}),
     ("threads", {"sub_batch": 17, "replicas": 2}),
-    ("procpool", {"transport": "pipe"}),
-    ("procpool", {"transport": "ring"}),
-    ("procpool", {"transport": "ring", "sub_batch": 23, "replicas": 2}),
+    ("procpool", {}),
+    ("procpool", {"sub_batch": 23, "replicas": 2}),
 ]
 
 
@@ -106,20 +105,13 @@ class TestTransportParity:
                 assert row["resp_frame_bytes"] > 0
                 assert row["depth"] == [0]
             assert stats["execute_s"] > 0.0
-
-    def test_ring_stats_expose_occupancy(self, index, pairs):
-        with ProcessShardedService(index, 2, transport="ring") as service:
-            service.query_batch(pairs[:40])
-            stats = service.transport_stats()
-            assert stats["transport"] == "ring"
-            assert stats["ring_capacity"] > 0
-            assert len(stats["ring_occupancy"]) == 2
-            for occupancy in stats["ring_occupancy"]:
-                assert occupancy == {"requests": 0, "responses": 0}
+        with ProcessShardedService(index, 2) as procs:
+            procs.query_batch(pairs[:60])
+            assert procs.transport_stats()["transport"] == "pipe"
 
     def test_replicas_fan_out_workers(self, index, pairs):
         with ProcessShardedService(
-            index, 2, transport="ring", replicas=2, sub_batch=8
+            index, 2, replicas=2, sub_batch=8
         ) as service:
             expected = None
             for _ in range(3):
@@ -179,59 +171,149 @@ class TestWireFrames:
             clone.to_results([], integral=True)
 
 
-class TestRingBuffer:
-    def _ring(self, capacity=256):
-        buf = bytearray(RingBuffer.region_bytes(capacity))
-        ring = RingBuffer(buf, 0, capacity)
-        ring.reset()
-        return ring
+class _FakeProc:
+    """Stands in for a worker process handle in the liveness checks."""
 
-    def test_round_trip_and_wraparound(self):
-        ring = self._ring(96)
-        for i in range(50):  # cycles the ring many times over
-            payload = bytes([i % 251]) * (i % 60)
-            ring.push(payload)
-            assert ring.pop() == payload
-        assert not ring.poll()
+    def __init__(self) -> None:
+        self.alive = True
 
-    def test_frame_larger_than_capacity_streams(self):
-        ring = self._ring(64)
-        payload = bytes(range(256)) * 8  # 2 KiB through a 64-byte ring
-        got = {}
+    def is_alive(self) -> bool:
+        return self.alive
 
-        def consume():
-            got["frame"] = ring.pop(timeout=5.0)
 
-        thread = threading.Thread(target=consume)
-        thread.start()
-        ring.push(payload, timeout=5.0)
-        thread.join(timeout=5.0)
-        assert got["frame"] == payload
+@pytest.fixture
+def lane():
+    """One pipe lane of a real ``PipeFrameTransport`` and its worker end."""
+    proc = _FakeProc()
+    transport = PipeFrameTransport(1, [proc])
+    child = transport.reset_worker(0)
+    yield transport, child, proc
+    transport.close()
+    child.close()
 
-    def test_drain_mid_handshake_does_not_hang(self):
-        """A dead producer can publish a length prefix and nothing else;
-        drain() must give up on the partial frame, not wait for it."""
-        ring = self._ring(128)
-        ring.push(b"whole frame")
-        prefix = np.frombuffer(struct.pack("<Q", 100), dtype=np.uint8)
-        head = int(ring._head[0])
-        pos = head % ring.capacity
-        ring._data[pos:pos + 8] = prefix
-        ring._head[0] = head + 8
-        assert ring.drain(timeout=0.05) == 1  # the whole frame only
-        with pytest.raises(TimeoutError):
-            ring.pop(timeout=0.05)
 
-    def test_pop_timeout_on_empty(self):
-        ring = self._ring()
-        with pytest.raises(TimeoutError):
-            ring.pop(timeout=0.05)
+def _answer_each(child, replies_for, stop):
+    """Worker stand-in: reply to every request with ``replies_for(seq)``."""
+    try:
+        while not stop.is_set():
+            buf = child.recv_bytes()
+            if not buf:
+                return
+            seq = RequestFrame.from_bytes(buf).seq
+            for frame in replies_for(seq):
+                child.send_bytes(frame.to_bytes())
+    except (EOFError, OSError):
+        pass
+
+
+class TestPipeFrameTransport:
+    def test_frames_keep_the_recv_bytes_framing(self, lane):
+        transport, child, _ = lane
+        transport.send(0, RequestFrame(7, [(1, 2), (3, 4)], True))
+        request = RequestFrame.from_bytes(child.recv_bytes())
+        assert request.seq == 7
+        assert request.pair_list() == [(1, 2), (3, 4)]
+        assert request.with_path
+        child.send_bytes(ResponseFrame.error_frame(7, "boom").to_bytes())
+        reply = transport.recv(0, 7, timeout=5.0)
+        assert (reply.seq, reply.ok, reply.error) == (7, False, "boom")
+
+    def test_shutdown_sentinel_is_an_empty_frame(self, lane):
+        transport, child, _ = lane
+        transport.shutdown_worker(0)
+        assert child.recv_bytes() == b""
+
+    def _flood(self, transport, child, replies_for, frames=200):
+        """Send ``frames`` fat requests before reading any reply."""
+        stop = threading.Event()
+        worker = threading.Thread(
+            target=_answer_each, args=(child, replies_for, stop), daemon=True
+        )
+        worker.start()
+        pairs = [(i, i + 1) for i in range(1000)]
+        sender = threading.Thread(
+            target=lambda: [
+                transport.send(0, RequestFrame(seq, pairs, False), timeout=20.0)
+                for seq in range(frames)
+            ],
+            daemon=True,
+        )
+        sender.start()
+        sender.join(30.0)
+        assert not sender.is_alive(), "send blocked on a full pipe"
+        parked = dict(transport._pending[0])
+        replies = [transport.recv(0, seq, timeout=10.0) for seq in range(frames)]
+        stop.set()
+        return parked, replies
+
+    def test_full_pipe_parks_ready_replies(self, lane):
+        # 200 x 16 KiB requests and 200 x 64 KiB replies overflow both
+        # directions of the socket pair many times over: the worker
+        # blocks on its replies and stops reading requests, so every
+        # send completes only by parking replies.
+        transport, child, _ = lane
+        parked, replies = self._flood(
+            transport, child,
+            lambda seq: [ResponseFrame.error_frame(seq, f"{seq}:" + "x" * 65536)],
+        )
+        assert parked
+        assert [reply.seq for reply in replies] == list(range(200))
+        assert all(reply.error.startswith(f"{reply.seq}:") for reply in replies)
+
+    def test_parking_drops_stale_replies(self, lane):
+        transport, child, _ = lane
+        stale = 10**6
+        parked, replies = self._flood(
+            transport, child,
+            lambda seq: [
+                ResponseFrame.error_frame(stale + seq, "y" * 65536),
+                ResponseFrame.error_frame(seq, "x" * 65536),
+            ],
+        )
+        assert parked
+        assert all(seq < stale for seq in parked)
+        assert [reply.seq for reply in replies] == list(range(200))
+
+    def test_send_to_a_closed_peer_raises_worker_died(self, lane):
+        transport, child, proc = lane
+        child.close()
+        proc.alive = False
+        with pytest.raises(WorkerDied):
+            transport.send(0, RequestFrame(1, [(0, 1)], False), timeout=5.0)
+
+    def test_send_nobody_reads_times_out(self, lane):
+        transport, _, _ = lane
+        big = RequestFrame(1, [(i, i) for i in range(200_000)], False)
+        started = time.monotonic()
+        with pytest.raises(WorkerTimeout):
+            transport.send(0, big, timeout=0.3)
+        assert time.monotonic() - started < 3.0
+
+    def test_send_notices_a_worker_dying_mid_wait(self, lane):
+        # No deadline: only the liveness check can end this send.
+        transport, _, proc = lane
+        big = RequestFrame(1, [(i, i) for i in range(200_000)], False)
+        timer = threading.Timer(0.3, lambda: setattr(proc, "alive", False))
+        timer.start()
+        outcome = {}
+
+        def send():
+            try:
+                transport.send(0, big)
+            except Exception as exc:
+                outcome["error"] = exc
+
+        sender = threading.Thread(target=send, daemon=True)
+        sender.start()
+        sender.join(10.0)
+        timer.cancel()
+        assert not sender.is_alive(), "send ignored the dead worker"
+        assert isinstance(outcome.get("error"), WorkerDied)
 
 
 class TestWorkerFailure:
-    @pytest.mark.parametrize("transport", ["pipe", "ring"])
-    def test_dead_worker_raises_instead_of_hanging(self, index, pairs, transport):
-        service = ProcessShardedService(index, 2, transport=transport)
+    def test_dead_worker_raises_instead_of_hanging(self, index, pairs):
+        service = ProcessShardedService(index, 2)
         try:
             baseline = service.query_batch(pairs[:20])
             assert baseline
