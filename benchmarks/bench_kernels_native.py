@@ -10,7 +10,10 @@ the two tiers head to head on the CI smoke graph:
 * the fused scalar ``query()`` loop — one C call per pair instead of
   seven numpy step dispatches — which must answer a warm single query
   in single-digit microseconds (p50 <= 10 us) at >= 5x over the numpy
-  scalar resolver.
+  scalar resolver;
+* the batched resolve ``query_many[k]`` — ``query_batch`` on ``k`` in
+  (4, 16, 64) uniform pairs per call, one C call per batch on the
+  native tier — reported per pair, and never slower than numpy.
 
 Outputs are cross-checked between tiers on every lane before anything
 is timed, so a fast-but-wrong kernel cannot post a number.
@@ -47,6 +50,8 @@ except ImportError:  # run as a script: benchmarks/ itself is sys.path[0]
 LANE = 20000
 #: Pairs for the per-call races (scalar query, intersect_payload).
 PAIRS = 2500
+#: Pairs per call for the batched-resolve rows.
+BATCH_SIZES = (4, 16, 64)
 #: Timed passes per lane; the recorded figure is the best pass (shared
 #: CI boxes see scheduler noise — the best pass is the steady state).
 REPS = 5
@@ -180,6 +185,32 @@ def run_smoke(scale: float = 0.0008, pairs: int = PAIRS) -> int:
         )
     kernels_report["intersect_payload"] = entry
 
+    # --- batched resolve: one query_batch call per k pairs ------------
+    for size in BATCH_SIZES:
+        batches = [
+            rng.integers(0, graph.n, (size, 2)).tolist()
+            for _ in range(max(pairs // size, 8))
+        ]
+        entry = {"calls": len(batches), "pairs_per_call": size}
+        reference = None
+        for tier in tiers:
+            # Built and measured before the next tier flips the shared
+            # flat index (as in the scalar race below).
+            engine = FlatQueryEngine.from_index(index, kernels=tier)
+            got = [
+                (r.distance, r.method, r.witness, r.probes)
+                for batch in batches for r in engine.query_batch(batch)
+            ]
+            if reference is None:
+                reference = got
+            elif got != reference:
+                failures.append(f"query_many[{size}]: tiers disagree")
+            per_call = _race_per_call(
+                [lambda e=engine, b=b: e.query_batch(b) for b in batches]
+            )
+            entry[tier] = {k: v / size for k, v in per_call.items()}
+        kernels_report[f"query_many[{size}]"] = entry
+
     for name, entry in kernels_report.items():
         if "native" not in entry:
             continue
@@ -257,7 +288,8 @@ def run_smoke(scale: float = 0.0008, pairs: int = PAIRS) -> int:
             rows,
             title=(
                 f"kernel tiers, livejournal Chung-Lu stand-in "
-                f"({graph.n:,} nodes, per-call figures, best of {REPS})"
+                f"({graph.n:,} nodes, per-call figures — per pair for "
+                f"query_many — best of {REPS})"
             ),
         )
     )

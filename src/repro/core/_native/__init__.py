@@ -143,6 +143,10 @@ def _declare(lib: ctypes.CDLL) -> None:
         view, view, i64, i64, i32, p, p, p, p, p, p,
     ]
     lib.repro_query_pair.restype = i32
+    lib.repro_query_many.argtypes = [
+        view, view, p, i64, i32, p, p, p, p, p, p, p,
+    ]
+    lib.repro_query_many.restype = i64
 
 
 def library_path():
@@ -153,9 +157,10 @@ def library_path():
 def load_library() -> Optional[ctypes.CDLL]:
     """The compiled kernel library, or ``None`` (cached either way).
 
-    A present-but-unloadable artifact (wrong arch, truncated file)
-    warns once and falls back; an absent artifact is silent — that is
-    the pure-Python install path, not a failure.
+    A present-but-unloadable artifact (wrong arch, truncated file, or
+    a stale build missing an entry point this module declares) warns
+    once and falls back; an absent artifact is silent — that is the
+    pure-Python install path, not a failure.
     """
     global _LIB, _LIB_TRIED, _LOAD_ERROR, _WARNED
     if _LIB_TRIED:
@@ -173,17 +178,25 @@ def load_library() -> Optional[ctypes.CDLL]:
         _declare(lib)
     except OSError as exc:
         _LOAD_ERROR = f"failed to load {path.name}: {exc}"
-        if not _WARNED:
-            _WARNED = True
-            warnings.warn(
-                f"native kernel extension failed to import "
-                f"({_LOAD_ERROR}); falling back to the numpy tier",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return None
-    _LIB = lib
-    return lib
+    except AttributeError as exc:
+        # ctypes raises AttributeError for a symbol the library lacks:
+        # an artifact compiled from an older kernels.c.
+        _LOAD_ERROR = (
+            f"stale artifact, rebuild {path.name} "
+            f"(`python -m repro.core._native.build --force`): {exc}"
+        )
+    else:
+        _LIB = lib
+        return lib
+    if not _WARNED:
+        _WARNED = True
+        warnings.warn(
+            f"native kernel extension failed to import "
+            f"({_LOAD_ERROR}); falling back to the numpy tier",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return None
 
 
 def load_error() -> Optional[str]:
@@ -400,6 +413,49 @@ class NativeKernels:
                 best.ctypes.data, witness.ctypes.data, sizes.ctypes.data,
             )
         return best, witness, sizes
+
+    def _batch_pack(self, m):
+        """This thread's grow-to-fit pair and result buffers for
+        :meth:`query_many`, with their addresses resolved once (reading
+        ``.ctypes.data`` costs more per call than the C loop itself on
+        a short batch)."""
+        pack = getattr(self._tls, "batch", None)
+        if pack is None or pack[0].shape[0] < m:
+            cap = max(m, 256)
+            cols = (
+                np.empty((cap, 2), dtype=np.int64),
+                np.empty(cap, dtype=np.float64),
+                np.empty(cap, dtype=np.uint8),
+                np.empty(cap, dtype=np.int64),
+                np.empty(cap, dtype=np.int64),
+            )
+            pack = cols + tuple(col.ctypes.data for col in cols)
+            self._tls.batch = pack
+        return pack
+
+    def query_many(self, inn, pairs, kernel_code):
+        """Algorithm 1 over a validated ``(m, 2)`` pair array, one C call.
+
+        ``inn`` is the target side's :class:`NativeKernels` (``self``
+        for an undirected index).  Returns ``(dist, method, witness,
+        probes)`` — float64 (NaN = no answer), uint8 wire codes, int64
+        witness (``-1`` = none) and probes — as views over this
+        thread's buffers, valid until its next call.  Returns ``None``
+        when the C side met an inconsistent store or an endpoint
+        outside ``[0, n)``: the caller re-runs the batch through the
+        step-by-step lanes, which keep their own behaviour for it.
+        """
+        m = pairs.shape[0]
+        pk = self._batch_pack(m)
+        pk[0][:m] = pairs
+        s = self.scratch()
+        first_bad = self.lib.repro_query_many(
+            self._view_ref, inn._view_ref, pk[5], m, kernel_code,
+            s[0], s[1], s[2], pk[6], pk[7], pk[8], pk[9],
+        )
+        if first_bad >= 0:
+            return None
+        return pk[1][:m], pk[2][:m], pk[3][:m], pk[4][:m]
 
     def intersect_payload(self, scan_nodes, scan_dists, target):
         probes = int(scan_nodes.size)

@@ -11,6 +11,8 @@
  *   repro_intersect_payload  <->  FlatIndex.intersect_payload
  *   repro_table_lookup_many  <->  FlatIndex.table_lookup_many
  *   repro_query_pair         <->  FlatQueryEngine.resolve (no-path)
+ *   repro_query_many         <->  FlatQueryEngine.resolve_many (no-path)
+ *                                 and ShardQueryEngine._resolve_columns
  *
  * Parity invariants the code below must preserve (pinned by the
  * dual-tier suites in tests/core/):
@@ -601,4 +603,50 @@ int32_t repro_query_pair(
             return M_INTERSECTION;
         }
     }
+}
+
+/* repro_query_pair over a whole (m, 2) row-major pair column, written
+ * straight into the four result columns the batch lanes produce:
+ * float64 distance (NaN = no answer), uint8 method wire code, witness
+ * (-1 = none) and probes.  Returns -1 when every pair was answered,
+ * else the index of the first pair that was not — an inconsistent
+ * store, or an endpoint outside [0, n) — and the caller re-runs the
+ * whole batch through the step-by-step lanes, which keep their own
+ * error behaviour for it. */
+int64_t repro_query_many(
+    const FlatView *out,
+    const FlatView *inn,
+    const int64_t *pairs,
+    int64_t m,
+    int32_t kernel,
+    int32_t *stamp,
+    int32_t *spos,
+    int32_t *epoch_io,
+    double *dist_out,
+    uint8_t *method_out,
+    int64_t *witness_out,
+    int64_t *probes_out)
+{
+    for (int64_t i = 0; i < m; i++) {
+        int64_t source = pairs[2 * i];
+        int64_t target = pairs[2 * i + 1];
+        double d = NAN;
+        int64_t witness = -1;
+        int64_t probes = 0;
+        int32_t code;
+        if (source < 0 || source >= out->n || target < 0 || target >= out->n)
+            return i;
+        code = repro_query_pair(out, inn, source, target, kernel,
+                                stamp, spos, epoch_io, &d, &witness, &probes);
+        if (code < 0)
+            return i;
+        /* repro_query_pair writes a distance only for an answer and a
+         * witness only for an intersection, so the NaN / -1 defaults
+         * above stand for every other outcome. */
+        dist_out[i] = d;
+        method_out[i] = (uint8_t)code;
+        witness_out[i] = witness;
+        probes_out[i] = probes;
+    }
+    return -1;
 }

@@ -31,7 +31,11 @@ The one documented exception: the ablation-only ``full-*`` kernels scan
 members in sorted-id order (the flat layout has no dict iteration order
 to preserve), so a distance *tie* can elect a different witness.
 
-The batch path is where the representation pays off: endpoint
+The batch path is where the representation pays off.  On the native
+kernel tier a no-path batch is one C call (``repro_query_many``) that
+runs the whole of Algorithm 1 over the pair column and returns result
+columns.  Elsewhere — path queries, the numpy tier, and a batch the C
+side flags as inconsistent — the step-by-step lanes run: endpoint
 validation, the landmark lanes and vicinity-membership conditions
 (3)/(4) each collapse to one vectorised gather or searchsorted across
 the whole batch, and the surviving pairs run the fused intersection
@@ -69,6 +73,8 @@ _INTERSECTION = METHOD_CODE["intersection"]
 _MISS = METHOD_CODE["miss"]
 _DISCONNECTED = METHOD_CODE["disconnected"]
 
+_BOUNDARY_SOURCE = _native.KERNEL_CODES["boundary-source"]
+
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 
 
@@ -84,6 +90,29 @@ def _unique_pairs(arr, n):
         keys, return_index=True, return_inverse=True
     )
     return arr[first], inverse
+
+
+def _results_from_columns(rc, integral, arr, dist, method, witness, probes):
+    """``rc`` objects from no-path result columns, with the typing the
+    per-pair lanes produce: NaN -> ``None``, ``identical`` -> ``0``,
+    else ``int``/``float`` by the store's distance kind; witness ``-1``
+    -> ``None``."""
+    names = METHODS
+    results = []
+    append = results.append
+    for (s, t), d, code, w, p in zip(
+        arr.tolist(), dist.tolist(), method.tolist(),
+        witness.tolist(), probes.tolist(),
+    ):
+        if d != d:  # NaN: miss or disconnected
+            value = None
+        elif code == _IDENTICAL:
+            value = 0
+        else:
+            value = int(d) if integral else float(d)
+        append(rc(s, t, value, None, names[code], None if w < 0 else w, p))
+    return results
+
 
 # The join/slice-local crossover lives with :class:`FlatIndex` now:
 # every index carries a ``join_max_scan`` calibrated from its measured
@@ -218,6 +247,7 @@ class FlatQueryEngine:
         self._native_resolve = _native.make_pair_resolver(
             self.out, self.inn, kernel, result_cls, self._integral
         )
+        self._kernel_code = _native.KERNEL_CODES.get(kernel)
 
     @property
     def kernels(self) -> str:
@@ -372,7 +402,28 @@ class FlatQueryEngine:
     # fused batch resolution
     # ------------------------------------------------------------------
     def resolve_many(self, arr: np.ndarray, with_path: bool) -> list[QueryResult]:
-        """Resolve a validated ``(m, 2)`` pair array through fused lanes.
+        """Resolve a validated ``(m, 2)`` pair array, in order.
+
+        On the native tier a no-path batch is one C call
+        (``repro_query_many``: the fused scalar loop over the whole
+        pair column); everything else — paths, the numpy tier, and a
+        batch the C side flags as inconsistent — runs the step-by-step
+        lanes of :meth:`_resolve_lanes`.  Results are identical either
+        way.
+        """
+        if not with_path and self._kernel_code is not None:
+            out_nk = self.out._native_tier()
+            inn_nk = self.inn._native_tier()
+            if out_nk is not None and inn_nk is not None:
+                cols = out_nk.query_many(inn_nk, arr, self._kernel_code)
+                if cols is not None:
+                    return _results_from_columns(
+                        self.result_cls, self._integral, arr, *cols
+                    )
+        return self._resolve_lanes(arr, with_path)
+
+    def _resolve_lanes(self, arr: np.ndarray, with_path: bool) -> list[QueryResult]:
+        """The step-by-step batch lanes (paths, numpy tier, fallback).
 
         Per-pair results are identical to :meth:`resolve`; the lanes
         differ only in how much work is shared:
@@ -397,7 +448,7 @@ class FlatQueryEngine:
         if m > 1:
             uniq, inverse = _unique_pairs(arr, self.n)
             if uniq.shape[0] < m:
-                resolved = self.resolve_many(uniq, with_path)
+                resolved = self._resolve_lanes(uniq, with_path)
                 return [resolved[i] for i in inverse.tolist()]
         sources, targets = arr[:, 0], arr[:, 1]
         results: list[Optional[QueryResult]] = [None] * m
@@ -743,23 +794,9 @@ class ShardQueryEngine:
         dist, method, witness, probes, local, remote, trips = (
             self.answer_columns(arr)
         )
-        integral = self.flat._integral
-        names = METHODS
-        results = []
-        append = results.append
-        for (s, t), d, code, w, p in zip(
-            arr.tolist(), dist.tolist(), method.tolist(),
-            witness.tolist(), probes.tolist(),
-        ):
-            if d != d:  # NaN: miss or disconnected
-                value = None
-            elif code == _IDENTICAL:
-                value = 0
-            else:
-                value = int(d) if integral else float(d)
-            append(QueryResult(
-                s, t, value, None, names[code], None if w < 0 else w, p
-            ))
+        results = _results_from_columns(
+            QueryResult, self.flat._integral, arr, dist, method, witness, probes
+        )
         return results, local, remote, trips.tolist()
 
     # ------------------------------------------------------------------
@@ -785,17 +822,34 @@ class ShardQueryEngine:
         return dist, method, witness, probes, local, remote, trips
 
     def _resolve_columns(self, arr):
-        """Algorithm 1 lanes over columns — the §5 worker always probes
-        source-side first and scans the source boundary (the
-        ``boundary-source`` kernel), mirroring
-        :meth:`FlatQueryEngine.resolve_many` lane for lane."""
+        """Algorithm 1 over columns — the §5 worker always probes
+        source-side first and scans the source boundary, which is the
+        ``boundary-source`` kernel.  On the native tier that is one
+        ``repro_query_many`` call; the numpy tier, and a batch the C
+        side flags as inconsistent, run :meth:`_resolve_lanes`."""
+        nk = self.flat._native_tier()
+        if nk is not None:
+            got = nk.query_many(nk, arr, _BOUNDARY_SOURCE)
+            if got is not None:
+                # Copied out: the C side's buffers are per thread and
+                # reused by its next call.
+                cols = self._result_columns(arr.shape[0])
+                for col, values in zip(cols, got):
+                    col[:] = values
+                return cols
+        return self._resolve_lanes(arr)
+
+    def _resolve_lanes(self, arr):
+        """The step-by-step column lanes, mirroring
+        :meth:`FlatQueryEngine._resolve_lanes` lane for lane."""
         m = arr.shape[0]
         if m > 1:
-            # Same batch-level pair fusion as resolve_many: answer each
-            # distinct pair once, fan the columns out by fancy index.
+            # Same batch-level pair fusion as the single-machine lanes:
+            # answer each distinct pair once, fan the columns out by
+            # fancy index.
             uniq, inverse = _unique_pairs(arr, self.flat.n)
             if uniq.shape[0] < m:
-                d, c, w, p = self._resolve_columns(uniq)
+                d, c, w, p = self._resolve_lanes(uniq)
                 return d[inverse], c[inverse], w[inverse], p[inverse]
         flat = self.flat
         sources, targets = arr[:, 0], arr[:, 1]

@@ -283,8 +283,7 @@ class NetStats:
         for wait in waits:
             self.queue_wait.observe(wait)
         share = elapsed / size if size else 0.0
-        for _ in range(size):
-            self.service_time.observe(share)
+        self.service_time.observe_many(share, size)
 
     # -- reporting -------------------------------------------------------
     def snapshot(self, *, queue: Optional[dict] = None, top: int = 8) -> dict:

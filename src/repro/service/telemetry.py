@@ -19,6 +19,7 @@ import threading
 import time
 from collections import Counter, deque
 from contextlib import contextmanager
+from itertools import repeat
 from typing import Optional
 
 from repro.core.oracle import METHODS, QueryResult
@@ -59,6 +60,22 @@ class LatencyHistogram:
             self.max = seconds
         self.buckets[self._bucket(seconds)] += 1
         self._samples.append(seconds)
+
+    def observe_many(self, seconds: float, count: int) -> None:
+        """Record ``count`` samples of one value — the same state as
+        ``count`` :meth:`observe` calls, aggregated once (``total`` may
+        differ from the repeated sum in the last bits)."""
+        if count <= 0:
+            return
+        seconds = max(0.0, float(seconds))
+        self.count += count
+        self.total += seconds * count
+        if self.min is None or seconds < self.min:
+            self.min = seconds
+        if self.max is None or seconds > self.max:
+            self.max = seconds
+        self.buckets[self._bucket(seconds)] += count
+        self._samples.extend(repeat(seconds, min(count, self.reservoir)))
 
     @staticmethod
     def _bucket(seconds: float) -> int:
@@ -176,7 +193,7 @@ class Telemetry:
                 self.by_method[result.method] += 1
                 if not result.answered:
                     self.unanswered += 1
-                self.query_latency.observe(share)
+            self.query_latency.observe_many(share, len(results))
 
     @contextmanager
     def timed_batch(self):

@@ -24,16 +24,17 @@ def pytest_sessionstart(session):
     """Compile the native kernel tier once, before collection.
 
     The native suites' ``skipif`` markers are evaluated at collection
-    time, so a fixture would run too late: this hook builds the
-    extension when it is absent and a C compiler is on hand, so a local
-    run covers both kernel tiers.  Without a compiler it does nothing
-    and those suites skip, which is what the pure-Python CI job relies
-    on.
+    time, so a fixture would run too late: this hook (re)builds the
+    extension whenever a C compiler is on hand, so a local run covers
+    both kernel tiers against the current ``kernels.c`` — ``build()``
+    is a no-op when the artifact is newer than its source.  Without a
+    compiler it does nothing and those suites skip, which is what the
+    pure-Python CI job relies on.
     """
     from repro.core import _native
     from repro.core._native import build
 
-    if build.lib_path().exists() or build.find_compiler() is None:
+    if build.find_compiler() is None:
         return
     try:
         build.build()

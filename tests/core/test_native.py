@@ -10,6 +10,7 @@ artifact).
 
 import ctypes
 import os
+import subprocess
 import warnings
 
 import numpy as np
@@ -49,6 +50,56 @@ def fields(result):
 def assert_results_identical(got, want, context=None):
     for a, b in zip(got, want):
         assert fields(a) == fields(b), context
+
+
+KERNELS = (
+    "boundary-source", "boundary-target", "boundary-smaller",
+    "full-source", "full-smaller",
+)
+
+
+def typed(result):
+    """``fields`` plus the distance's Python type (``1 == 1.0``)."""
+    return fields(result) + (type(result.distance),)
+
+
+def _batches(n, seed):
+    """One pair batch of every size 1..64, with repeated pairs and
+    ``s == t`` pairs mixed in."""
+    rng = np.random.default_rng(seed)
+    batches = []
+    for size in range(1, 65):
+        arr = rng.integers(0, n, (size, 2))
+        repeats = size // 3
+        if repeats:
+            arr[size - repeats:] = arr[rng.integers(0, size - repeats, repeats)]
+        arr[::5, 1] = arr[::5, 0]
+        batches.append(arr.tolist())
+    return batches
+
+
+def _column_bytes(columns):
+    """``answer_columns`` output as comparable bytes and dtypes."""
+    dist, method, witness, probes, local, remote, trips = columns
+    return (
+        dist.dtype, dist.tobytes(), method.dtype, method.tobytes(),
+        witness.dtype, witness.tobytes(), probes.dtype, probes.tobytes(),
+        local, remote, trips.dtype, trips.tobytes(),
+    )
+
+
+def _twin_flats(flat):
+    """Two independent FlatIndex objects over ``flat``'s arrays, pinned
+    to the numpy and native tiers (a shared index would flip both)."""
+    twins = []
+    for tier in ("numpy", "native"):
+        twin = FlatIndex(
+            flat.arrays, n=flat.n, weighted=flat.weighted,
+            store_paths=flat.store_paths,
+        )
+        twin.set_kernels(tier)
+        twins.append(twin)
+    return twins
 
 
 @pytest.fixture(
@@ -181,6 +232,37 @@ class TestLoaderDegradation:
         flat._kernels = flat._native = None
         assert flat.set_kernels(None) == "numpy"  # auto degrades cleanly
 
+    def test_stale_artifact_warns_once_and_falls_back(
+        self, built, monkeypatch, tmp_path
+    ):
+        from repro.core._native import build
+
+        compiler = build.find_compiler()
+        if compiler is None:
+            pytest.skip("no C compiler")
+        # An artifact from an older kernels.c: every entry point but
+        # the newest one.
+        stale = tmp_path / "_kernels.so"
+        subprocess.run(
+            [
+                compiler, "-O0", "-shared", "-fPIC", "-std=c99",
+                "-Drepro_query_many=repro_query_many_absent",
+                str(build.HERE / build.SOURCE), "-o", str(stale), "-lm",
+            ],
+            check=True, capture_output=True,
+        )
+        monkeypatch.setattr(_native, "library_path", lambda: stale)
+        _native._reset_loader_state()
+        with pytest.warns(RuntimeWarning, match="falling back to the numpy tier"):
+            assert _native.load_library() is None
+        assert "stale artifact, rebuild" in _native.load_error()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # cached: no second warning
+            assert _native.load_library() is None
+        flat = FlatIndex.from_index(built)
+        flat._kernels = flat._native = None
+        assert flat.set_kernels(None) == "numpy"
+
     def test_env_native_without_artifact_raises(
         self, built, monkeypatch, tmp_path
     ):
@@ -283,6 +365,15 @@ class TestDtypeGridParity:
         pairs = _pairs(index.n, 400, seed=21)
         kernel = index.config.kernel
         flat = FlatIndex.from_index(index)
+        numpy_flat, native_flat = _twin_flats(flat)
+        batches = _batches(index.n, seed=26)
+        for name in KERNELS:
+            want_eng = FlatQueryEngine(numpy_flat, kernel=name)
+            got_eng = FlatQueryEngine(native_flat, kernel=name)
+            for batch in batches:
+                want = [typed(r) for r in want_eng.query_batch(batch)]
+                got = [typed(r) for r in got_eng.query_batch(batch)]
+                assert got == want, (name, batch)
         want = FlatQueryEngine(flat, kernel=kernel, kernels="numpy").query_batch(
             pairs, with_path=True
         )
@@ -358,6 +449,128 @@ class TestDtypeGridParity:
         return VicinityIndex.build(
             graph, OracleConfig(alpha=4.0, seed=3, fallback="none")
         )
+
+
+@needs_native
+class TestQueryManyParity:
+    """The one-call batch lane against the step-by-step lanes and the
+    numpy tier: batches of 1..64 pairs, repeats and ``s == t``."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_query_batch_matches_lanes_and_numpy_tier(self, built, kernel):
+        numpy_flat, native_flat = _twin_flats(FlatIndex.from_index(built))
+        numpy_eng = FlatQueryEngine(numpy_flat, kernel=kernel)
+        native_eng = FlatQueryEngine(native_flat, kernel=kernel)
+        nk = native_flat._native
+        for batch in _batches(built.n, seed=71):
+            arr = np.asarray(batch, dtype=np.int64)
+            assert nk.query_many(nk, arr, _native.KERNEL_CODES[kernel]) is not None
+            got = [typed(r) for r in native_eng.query_batch(batch)]
+            lanes = [typed(r) for r in native_eng._resolve_lanes(arr, False)]
+            want = [typed(r) for r in numpy_eng.query_batch(batch)]
+            assert got == lanes == want, (kernel, batch)
+
+    def test_batch_matches_scalar_queries(self, built):
+        engine = FlatQueryEngine.from_index(built, kernels="native")
+        for batch in _batches(built.n, seed=72)[::7]:
+            got = [typed(r) for r in engine.query_batch(batch)]
+            want = [typed(engine.query(s, t)) for s, t in batch]
+            assert got == want, batch
+
+    def test_shard_columns_match_numpy_tier(self, built):
+        numpy_flat, native_flat = _twin_flats(FlatIndex.from_index(built))
+        assign = shard_assignment(built.n, 3, "hash")
+        for replicate in (False, True):
+            for reuse in (False, True):
+                want_eng = ShardQueryEngine(
+                    numpy_flat, assign, replicate, reuse_scratch=reuse
+                )
+                got_eng = ShardQueryEngine(
+                    native_flat, assign, replicate, reuse_scratch=reuse
+                )
+                for batch in _batches(built.n, seed=73):
+                    arr = np.asarray(batch, dtype=np.int64)
+                    want = _column_bytes(want_eng.answer_columns(arr))
+                    got = _column_bytes(got_eng.answer_columns(arr))
+                    assert got == want, (replicate, reuse, batch)
+                    got_objs, *got_wire = got_eng.answer_batch(batch)
+                    want_objs, *want_wire = want_eng.answer_batch(batch)
+                    assert [typed(r) for r in got_objs] == [
+                        typed(r) for r in want_objs
+                    ]
+                    assert got_wire == want_wire
+
+    def test_out_of_range_endpoint_keeps_the_lanes_error(self, built):
+        flat = FlatIndex.from_index(built)
+        if not flat.has_tables:
+            pytest.skip("no landmark tables on this build")
+        _, native_flat = _twin_flats(flat)
+        nk = native_flat._native
+        bad = np.asarray([[0, 1], [0, built.n]], dtype=np.int64)
+        assert nk.query_many(nk, bad, 0) is None
+        engine = ShardQueryEngine(
+            native_flat, shard_assignment(built.n, 2, "hash"), False
+        )
+        with pytest.raises(IndexError):
+            engine.answer_columns(bad)
+
+
+@needs_native
+class TestCorruptStoreBatches:
+    """A weighted store whose member slice names a node its distance
+    slice lacks: the C lane reports the pair, and the batch is answered
+    by the step-by-step lanes exactly as before the one-call lane."""
+
+    @staticmethod
+    def _corrupt():
+        graph = random_connected_graph(220, 640, seed=33, weighted=True)
+        index = VicinityOracle.build(
+            graph, config=OracleConfig(alpha=4.0, seed=5, fallback="none")
+        ).index
+        flat = FlatIndex.from_index(index)
+        arrays = dict(flat.arrays)
+        vic_nodes = arrays["vic_nodes"].copy()
+        lm = flat.landmark_row
+        for u in range(flat.n):
+            if lm[u] >= 0:
+                continue
+            lo, hi = int(flat.vic_offsets[u]), int(flat.vic_offsets[u + 1])
+            mlo, mhi = int(flat.member_offsets[u]), int(flat.member_offsets[u + 1])
+            for v in flat.member_nodes[mlo:mhi].tolist():
+                pos = lo + int(np.searchsorted(vic_nodes[lo:hi], v))
+                floor = int(vic_nodes[pos - 1]) + 1 if pos > lo else 0
+                if v == u or lm[v] >= 0 or v - 1 < floor:
+                    continue
+                vic_nodes[pos] = v - 1  # still sorted; v is gone
+                arrays["vic_nodes"] = vic_nodes
+                broken = FlatIndex(
+                    arrays, n=flat.n, weighted=True, store_paths=True
+                )
+                broken.set_kernels("native")
+                return broken, (u, v)
+        pytest.skip("no corruptible member on this build")
+
+    def test_batch_answers_match_the_step_lanes(self):
+        broken, (u, v) = self._corrupt()
+        nk = broken._native
+        pairs = [(u, v)] + _pairs(broken.n, 40, seed=81) + [(u, v), (v, v)]
+        arr = np.asarray(pairs, dtype=np.int64)
+        for kernel in KERNELS:
+            assert nk.query_many(nk, arr, _native.KERNEL_CODES[kernel]) is None
+            engine = FlatQueryEngine(broken, kernel=kernel)
+            got = [typed(r) for r in engine.query_batch(pairs)]
+            want = [typed(r) for r in engine._resolve_lanes(arr, False)]
+            assert got == want, kernel
+        shard = ShardQueryEngine(broken, shard_assignment(broken.n, 2, "hash"), False)
+        got = _column_bytes(shard.answer_columns(arr))
+        dist, method, witness, probes = shard._resolve_lanes(arr)
+        same = shard.assign[arr[:, 0]] == shard.assign[arr[:, 1]]
+        want = _column_bytes((
+            dist, method, witness, probes,
+            int(same.sum()), int((~same).sum()),
+            shard._trips_from_columns(arr, method, probes, same),
+        ))
+        assert got == want
 
 
 @needs_native

@@ -51,6 +51,34 @@ class TestLatencyHistogram:
         histogram.observe(100.0)    # clamps to last bucket
         assert sum(histogram.buckets) == 4
 
+    @pytest.mark.parametrize(
+        "prior, value, count, reservoir",
+        [
+            ([], 0.0003, 5, 8192),
+            ([2e-6, 0.5], 0.004, 37, 8192),  # lands between min and max
+            ([0.01], 1e-9, 3, 8192),         # new min, below the floor
+            ([0.001] * 7, 0.002, 40, 16),    # overflows the reservoir
+            ([0.001], -1.0, 4, 8192),        # clamps to zero
+            ([0.001], 0.003, 0, 8192),       # no-op
+        ],
+    )
+    def test_observe_many_equals_repeated_observe(
+        self, prior, value, count, reservoir
+    ):
+        one = LatencyHistogram(reservoir)
+        many = LatencyHistogram(reservoir)
+        for sample in prior:
+            one.observe(sample)
+            many.observe(sample)
+        for _ in range(count):
+            one.observe(value)
+        many.observe_many(value, count)
+        assert many.count == one.count
+        assert many.min == one.min and many.max == one.max
+        assert many.buckets == one.buckets
+        assert list(many._samples) == list(one._samples)
+        assert many.total == pytest.approx(one.total, rel=1e-12, abs=0.0)
+
     def test_snapshot_units(self):
         histogram = LatencyHistogram()
         histogram.observe(0.002)

@@ -10,7 +10,9 @@ disconnected — and on every available kernel tier:
   equals BFS (unweighted) or Dijkstra (weighted); on weighted graphs
   the intersection rung is only an upper bound (the documented
   Definition 1 caveat), so it must never underestimate;
-* the fused batch lanes give the same answers as per-pair queries;
+* the fused batch lanes give the same answers as per-pair queries,
+  including batches of every size from 1 to 64 with repeated and
+  ``s == t`` pairs;
 * with ``with_path=True`` every returned path is a real graph path
   from ``s`` to ``t`` whose length is the stated distance;
 * a default-built :class:`DynamicVicinityOracle` still equals BFS on
@@ -126,6 +128,40 @@ def test_every_exact_answer_matches_the_baseline(tier, oracle):
     batch = oracle.query_batch(pairs)
     for got, want in zip(batch, single):
         assert (got.distance, got.method) == (want.distance, want.method)
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@settings(max_examples=60, deadline=None)
+@given(built_oracles(), st.data())
+def test_batches_of_every_size_match_the_baseline(tier, oracle, data):
+    """Batches of 1..64 pairs drawn from a small pool, so repeats and
+    ``s == t`` pairs are common, answer exactly as per-pair queries."""
+    oracle = with_tier(oracle, tier)
+    graph = oracle.graph
+    config = oracle.config
+    truth = truth_of(graph)
+    node = st.integers(min_value=0, max_value=graph.n - 1)
+    pool = data.draw(
+        st.lists(
+            st.one_of(st.tuples(node, node), node.map(lambda u: (u, u))),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    pairs = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=64))
+    batch = oracle.query_batch(pairs)
+    assert len(batch) == len(pairs)
+    for (s, t), result in zip(pairs, batch):
+        assert (result.source, result.target) == (s, t)
+        check_answer(result, truth, graph.is_weighted, config.fallback)
+        single = oracle.query(s, t)
+        assert (
+            result.distance, type(result.distance), result.method,
+            result.witness, result.probes,
+        ) == (
+            single.distance, type(single.distance), single.method,
+            single.witness, single.probes,
+        )
 
 
 @pytest.mark.parametrize("tier", TIERS)
